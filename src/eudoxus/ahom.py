@@ -262,22 +262,6 @@ class Invert(AlmostHom):
         return a
 
 
-def add(f: AlmostHom, g: AlmostHom) -> AlmostHom:
-    return Sum(f, g)
-
-
-def neg(f: AlmostHom) -> AlmostHom:
-    return Neg(f)
-
-
-def int_scale(m: int, f: AlmostHom) -> AlmostHom:
-    return IntScale(m, f)
-
-
-def compose(f: AlmostHom, g: AlmostHom) -> AlmostHom:
-    return Compose(f, g)
-
-
 def eval_range(f: AlmostHom, args) -> list[int]:
     """Evaluate f on an iterable of arguments in bulk.
 

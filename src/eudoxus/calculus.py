@@ -10,7 +10,6 @@ this pipeline stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hyper, polyq
@@ -21,62 +20,16 @@ class SubstitutionPole(ZeroDivisionError):
     """The function's denominator vanishes at the substitution point."""
 
 
-@dataclass(frozen=True)
-class RatFunction:
-    """Quotient of integer-coefficient polynomials in one variable.
+class RatFunction(polyq.RatFun):
+    """Quotient of integer-coefficient polynomials in one variable: the
+    shared quotient type, read as a function of x.
 
     Rational coefficients are accepted at construction and cleared to the
     reduced integer normal form, so equal functions are structurally equal.
     """
 
-    num: polyq.Coeffs
-    den: polyq.Coeffs
-
-    def __post_init__(self):
-        num, mn = polyq.from_fraction_coeffs(self.num)
-        den, md = polyq.from_fraction_coeffs(self.den)
-        num, den = polyq.normalize_ratfun(polyq.scale(num, md), polyq.scale(den, mn))
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __add__(self, other):
-        num = polyq.add(
-            polyq.mul(self.num, other.den), polyq.mul(other.num, self.den)
-        )
-        return RatFunction(num, polyq.mul(self.den, other.den))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RatFunction(polyq.neg(self.num), self.den)
-
-    def __mul__(self, other):
-        return RatFunction(
-            polyq.mul(self.num, other.num), polyq.mul(self.den, other.den)
-        )
-
-    def __truediv__(self, other):
-        if not other.num:
-            raise ZeroDivisionError("division by the zero function")
-        return RatFunction(
-            polyq.mul(self.num, other.den), polyq.mul(self.den, other.num)
-        )
-
-    def pow(self, k: int) -> "RatFunction":
-        if k < 0:
-            raise ValueError("negative power; divide instead")
-        return RatFunction(polyq.pow_(self.num, k), polyq.pow_(self.den, k))
-
-    def __call__(self, x0) -> Fraction:
-        x0 = Fraction(x0)
-        dv = polyq.eval_at(self.den, x0)
-        if dv == 0:
-            raise SubstitutionPole(f"pole at x = {x0}")
-        return Fraction(polyq.eval_at(self.num, x0)) / dv
-
-    def is_polynomial(self) -> bool:
-        return polyq.degree(self.den) == 0
+    def pole(self, x0) -> Exception:
+        return SubstitutionPole(f"pole at x = {x0}")
 
     def __str__(self) -> str:
         num = polyq.format_poly(self.num, "x")

@@ -24,7 +24,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from . import ahom, calculus, expr, hyper, indexset, lup, reals, ufsim
 from .ahom import (
@@ -40,7 +39,7 @@ from .ahom import (
     parse_rule,
     verify_bound,
 )
-from .calculus import RatFunction, SubstitutionPole, derivative_at
+from .calculus import SubstitutionPole, derivative_at
 from .expr import (
     Context,
     ExprSyntaxError,
@@ -73,11 +72,10 @@ class ConfigError(ValueError):
 class Config:
     budget: int = 2**20
     default_precision: int = 10
-    max_k: int = 40
     state_path: str = "ultra.trace"
 
 
-_INT_KEYS = ("budget", "default_precision", "max_k")
+_INT_KEYS = ("budget", "default_precision")
 _CONFIG_KEYS = _INT_KEYS + ("state_path",)
 
 
@@ -126,83 +124,63 @@ def _set_config_key(cfg: Config, key: str, value: str, where: str) -> None:
 # -- expression evaluation ----------------------------------------------------
 
 
-def eval_real(node, budget: int) -> EudoxusReal:
-    if isinstance(node, expr.IntLit):
-        return reals.from_rational(node.value, 1)
-    if isinstance(node, expr.RatLit):
-        return reals.from_rational(node.value.numerator, node.value.denominator)
-    if isinstance(node, expr.SqrtInt):
-        return reals.from_sqrt_int(node.k)
-    if isinstance(node, expr.Add):
-        return eval_real(node.left, budget).add(eval_real(node.right, budget))
-    if isinstance(node, expr.Sub):
-        return eval_real(node.left, budget).sub(eval_real(node.right, budget))
-    if isinstance(node, expr.Mul):
-        return eval_real(node.left, budget).mul(eval_real(node.right, budget))
-    if isinstance(node, expr.Div):
-        right = eval_real(node.right, budget)
-        return eval_real(node.left, budget).mul(right.recip(budget))
-    if isinstance(node, expr.Pow):
-        base = eval_real(node.base, budget)
+# Each table maps an AST node type to its handler for `expr.fold`. The germ
+# table reaches `hyper` through the module at call time, so wrappers
+# installed on `hyper`'s functions see every call.
+
+
+def _real_ops(budget: int) -> dict:
+    def power(n, base):
         out = reals.one()
-        for _ in range(node.exponent):
+        for _ in range(n.exponent):
             out = out.mul(base)
         return out
-    if isinstance(node, expr.St):
-        # st is the identity on embedded reals.
-        return eval_real(node.inner, budget)
-    raise SortError(f"{type(node).__name__} has no exact real value")
+
+    return {
+        expr.IntLit: lambda n: reals.from_rational(n.value, 1),
+        expr.RatLit: lambda n: reals.from_rational(
+            n.value.numerator, n.value.denominator
+        ),
+        expr.SqrtInt: lambda n: reals.from_sqrt_int(n.k),
+        expr.Add: lambda n, a, b: a.add(b),
+        expr.Sub: lambda n, a, b: a.sub(b),
+        expr.Mul: lambda n, a, b: a.mul(b),
+        # Children arrive in _REAL_ORDER: the divisor first.
+        expr.Div: lambda n, right, left: left.mul(right.recip(budget)),
+        expr.Pow: power,
+        expr.St: lambda n, x: x,  # st is the identity on embedded reals
+    }
 
 
-def eval_germ(node) -> RationalSlopeGerm:
-    if isinstance(node, expr.IntLit):
-        return hyper.from_real(node.value)
-    if isinstance(node, expr.RatLit):
-        return hyper.from_real(node.value)
-    if isinstance(node, expr.SqrtInt):
-        root = isqrt(node.k)
-        if root * root != node.k:
-            raise SortError(f"sqrt({node.k}) has no exact rational-slope form")
-        return hyper.from_real(root)
-    if isinstance(node, expr.Dx):
-        return hyper.dx()
-    if isinstance(node, expr.Omega):
-        return hyper.omega()
-    if isinstance(node, expr.Add):
-        return hyper.add(eval_germ(node.left), eval_germ(node.right))
-    if isinstance(node, expr.Sub):
-        return hyper.sub(eval_germ(node.left), eval_germ(node.right))
-    if isinstance(node, expr.Mul):
-        return hyper.mul(eval_germ(node.left), eval_germ(node.right))
-    if isinstance(node, expr.Div):
-        return hyper.div(eval_germ(node.left), eval_germ(node.right))
-    if isinstance(node, expr.Pow):
-        return hyper.pow_(eval_germ(node.base), node.exponent)
-    if isinstance(node, expr.St):
-        return hyper.from_real(hyper.standard_part(eval_germ(node.inner)))
-    if isinstance(node, expr.Classify):
-        return eval_germ(node.inner)
-    raise SortError(f"{type(node).__name__} has no germ value")
+# The divisor is evaluated before the dividend, so when both sides hold a
+# division whose sign scan fails, the divisor's failure is the one reported.
+_REAL_ORDER = {**expr.CHILDREN, expr.Div: ("right", "left")}
 
+_GERM_OPS = {
+    expr.IntLit: lambda n: hyper.from_real(n.value),
+    expr.RatLit: lambda n: hyper.from_real(n.value),
+    expr.SqrtInt: lambda n: hyper.from_real(expr.exact_int_sqrt(n.k)),
+    expr.Dx: lambda n: hyper.dx(),
+    expr.Omega: lambda n: hyper.omega(),
+    expr.Add: lambda n, a, b: hyper.add(a, b),
+    expr.Sub: lambda n, a, b: hyper.sub(a, b),
+    expr.Mul: lambda n, a, b: hyper.mul(a, b),
+    expr.Div: lambda n, a, b: hyper.div(a, b),
+    expr.Pow: lambda n, x: hyper.pow_(x, n.exponent),
+    expr.St: lambda n, x: hyper.from_real(hyper.standard_part(x)),
+    expr.Classify: lambda n, x: x,
+}
 
-def eval_ratfn(node) -> RatFunction:
-    if isinstance(node, expr.IntLit):
-        return calculus.constant(node.value)
-    if isinstance(node, expr.RatLit):
-        return calculus.constant(node.value)
-    if isinstance(node, expr.Var):
-        return calculus.variable()
-    if isinstance(node, expr.Add):
-        return eval_ratfn(node.left) + eval_ratfn(node.right)
-    if isinstance(node, expr.Sub):
-        return eval_ratfn(node.left) - eval_ratfn(node.right)
-    if isinstance(node, expr.Mul):
-        return eval_ratfn(node.left) * eval_ratfn(node.right)
-    if isinstance(node, expr.Div):
-        return eval_ratfn(node.left) / eval_ratfn(node.right)
-    if isinstance(node, expr.Pow):
-        return eval_ratfn(node.base).pow(node.exponent)
-    raise SortError(f"{type(node).__name__} has no polynomial value")
+_RATFN_OPS = {
+    expr.IntLit: lambda n: calculus.constant(n.value),
+    expr.RatLit: lambda n: calculus.constant(n.value),
+    expr.Var: lambda n: calculus.variable(),
+    expr.Add: lambda n, a, b: a + b,
+    expr.Sub: lambda n, a, b: a - b,
+    expr.Mul: lambda n, a, b: a * b,
+    expr.Div: lambda n, a, b: a / b,
+    expr.Pow: lambda n, f: f**n.exponent,
+}
 
 
 # -- output -------------------------------------------------------------------
@@ -232,7 +210,7 @@ def cmd_digits(args, cfg: Config) -> int:
     budget = args.budget if args.budget is not None else cfg.budget
     tree = expr.parse(args.expr)
     typecheck(tree, Context.REAL)
-    value = eval_real(tree, budget)
+    value = expr.fold(tree, _real_ops(budget), _REAL_ORDER)
     rendered = value.to_decimal(precision)
     index_used = 2 * value.rep.bound * 10 ** (precision + 2)
     _emit(
@@ -248,7 +226,7 @@ def cmd_digits(args, cfg: Config) -> int:
 def cmd_hyper_eval(args, cfg: Config) -> int:
     tree = expr.parse(args.expr)
     typecheck(tree, Context.HYPER)
-    value = eval_germ(tree)
+    value = expr.fold(tree, _GERM_OPS)
     cls = hyper.classify(value)
     lines = [f"class: {cls.kind.value}"]
     st_text = None
@@ -279,7 +257,7 @@ def cmd_derive(args, cfg: Config) -> int:
     sort = typecheck(tree, Context.DERIVE)
     if sort is not Sort.POLY:
         raise SortError("derivative body must mention the variable sort")
-    fn = eval_ratfn(tree)
+    fn = expr.fold(tree, _RATFN_OPS)
     result = derivative_at(fn, args.at)
     exact = str(result)
     decimal = decimal_of_fraction(result, cfg.default_precision)
@@ -364,7 +342,7 @@ def _parse_partition(spec: str) -> Partition:
 def cmd_lup_check(args, cfg: Config) -> int:
     tree = expr.parse(args.expr)
     typecheck(tree, Context.HYPER)
-    value = eval_germ(tree)
+    value = expr.fold(tree, _GERM_OPS)
     partition = _parse_partition(args.partition)
     admissible = lup.is_admissible(value, LimitFilterSpec((partition,)))
     text = "admissible" if admissible else "not admissible"
@@ -418,7 +396,7 @@ def _suite_kernel(rng: random.Random):
     return checks, failures
 
 
-def _suite_reals(rng: random.Random, max_k: int = 40):
+def _suite_reals(rng: random.Random):
     checks = 0
     failures = []
 
@@ -461,7 +439,7 @@ def _suite_reals(rng: random.Random, max_k: int = 40):
     checks += 1
     if reals.from_rational(1, 4).to_decimal(3) != "0.250":
         failures.append("decimal rendering of 1/4 failed")
-    depth = min(16, max_k)
+    depth = 16
     for _ in range(10):
         p, q = rng.randint(-40, 40), rng.randint(1, 40)
         x = reals.from_rational(p, q)
@@ -652,10 +630,7 @@ def cmd_selftest(args, cfg: Config) -> int:
     lines = []
     suites_json = []
     for name, suite in _SUITES:
-        if suite is _suite_reals:
-            checks, failures = suite(rng, cfg.max_k)
-        else:
-            checks, failures = suite(rng)
+        checks, failures = suite(rng)
         total_checks += checks
         total_failures += len(failures)
         status = "PASS" if not failures else "FAIL"

@@ -11,6 +11,10 @@ Grammar (normative for the command line):
 A quotient of two integer literals is folded to a rational literal after
 parsing, which is the only constant folding performed. Power exponents are
 integer literals because only integer powers are exact in both value tiers.
+Nesting of '(', 'st(' and 'classify(' is capped at MAX_NESTING levels.
+
+Every walk over a tree (constant folding, sort checking, formatting, and the
+CLI's evaluators) is one `fold` with a table of per-node-type handlers.
 
 Sorts: Real (exact reals), Hyper (germs), Poly (derivative bodies). Real
 promotes to Hyper in mixed nodes; `x` is only meaningful in a derivative
@@ -23,6 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Optional
 
 
@@ -176,11 +181,16 @@ class Classify:
 
 _ATOM_EXPECTED = ("integer", "'sqrt'", "'dx'", "'omega'", "'x'", "'st'", "'classify'", "'('")
 
+# Deepest nesting of '(', 'st(' and 'classify(' the recursive-descent parser
+# accepts; it keeps the parser's own recursion far below the interpreter limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     @property
     def current(self) -> Token:
@@ -262,16 +272,25 @@ class _Parser:
             if tok.text in ("st", "classify"):
                 self.advance()
                 self.expect_symbol("(")
-                inner = self.expr()
-                self.expect_symbol(")")
+                inner = self.nested(tok)
                 return St(inner) if tok.text == "st" else Classify(inner)
             self.fail(_ATOM_EXPECTED)
         if tok.kind is TokenKind.SYMBOL and tok.text == "(":
             self.advance()
-            inner = self.expr()
-            self.expect_symbol(")")
-            return inner
+            return self.nested(tok)
         self.fail(_ATOM_EXPECTED)
+
+    def nested(self, opener: Token):
+        """The parenthesised expression after `opener`, up to its ')'."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(
+                f"nesting deeper than {MAX_NESTING} levels", opener.offset
+            )
+        self.depth += 1
+        inner = self.expr()
+        self.expect_symbol(")")
+        self.depth -= 1
+        return inner
 
 
 def parse_tokens(tokens: list[Token]):
@@ -282,29 +301,69 @@ def parse_tokens(tokens: list[Token]):
     return node
 
 
+CHILDREN = {
+    Add: ("left", "right"),
+    Sub: ("left", "right"),
+    Mul: ("left", "right"),
+    Div: ("left", "right"),
+    Pow: ("base",),
+    St: ("inner",),
+    Classify: ("inner",),
+}
+
+
+def fold(tree, table, order=CHILDREN):
+    """Combine a tree bottom-up, iteratively, so depth costs no recursion.
+
+    `table` maps a node type to `handler(node, *child_values)`. Children are
+    folded first, in the field order `order` gives (left to right unless a
+    caller overrides it), then their parent. A node whose type has no
+    handler is a SortError, raised before its children are visited.
+    """
+    values: list = []
+    stack = [(tree, None, ())]
+    while stack:
+        node, handler, fields = stack.pop()
+        if handler is not None:
+            split = len(values) - len(fields)
+            args = values[split:]
+            del values[split:]
+            values.append(handler(node, *args))
+            continue
+        handler = table.get(type(node))
+        if handler is None:
+            raise SortError(f"{type(node).__name__} has no value in this sort")
+        fields = order.get(type(node))
+        if fields is None:
+            values.append(handler(node))
+            continue
+        stack.append((node, handler, fields))
+        for field in reversed(fields):
+            stack.append((getattr(node, field), None, ()))
+    return values[0]
+
+
+def _fold_div(node, left, right):
+    if isinstance(left, IntLit) and isinstance(right, IntLit) and right.value != 0:
+        return RatLit(Fraction(left.value, right.value))
+    return Div(left, right)
+
+
+_FOLD_CONSTANTS = {
+    **{t: lambda n: n for t in (IntLit, RatLit, SqrtInt, Dx, Omega, Var)},
+    **{t: lambda n, *kids: type(n)(*kids) for t in (Add, Sub, Mul, St, Classify)},
+    Div: _fold_div,
+    Pow: lambda n, base: Pow(base, n.exponent),
+}
+
+
 def fold_constants(node):
     """Fold integer-literal quotients into rational literals.
 
     A zero denominator is left unfolded so that evaluation reports it in the
     value tier where it occurs.
     """
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        left, right = fold_constants(node.left), fold_constants(node.right)
-        if (
-            isinstance(node, Div)
-            and isinstance(left, IntLit)
-            and isinstance(right, IntLit)
-            and right.value != 0
-        ):
-            return RatLit(Fraction(left.value, right.value))
-        return type(node)(left, right)
-    if isinstance(node, Pow):
-        return Pow(fold_constants(node.base), node.exponent)
-    if isinstance(node, St):
-        return St(fold_constants(node.inner))
-    if isinstance(node, Classify):
-        return Classify(fold_constants(node.inner))
-    return node
+    return fold(node, _FOLD_CONSTANTS)
 
 
 def parse(text: str):
@@ -327,68 +386,88 @@ class Sort(enum.Enum):
     POLY = "Poly"
 
 
-def typecheck(node, ctx: Context, _root: bool = True) -> Sort:
+def exact_int_sqrt(k: int) -> int:
+    """The root of a perfect square k; SortError for any other k, whose root
+    has no exact rational-slope form."""
+    root = isqrt(k)
+    if root * root != k:
+        raise SortError(
+            f"sqrt({k}) is irrational and has no exact "
+            "rational-slope form; use a real-context query"
+        )
+    return root
+
+
+def typecheck(node, ctx: Context) -> Sort:
     """Sort of the expression in the given context, or a SortError.
 
     `classify(...)` is a reporting form: it is accepted only as the outermost
-    node of a hyperreal query.
+    node of a hyperreal query. Each subtree folds to its sort or to its first
+    error in reading order, where `st(`/`classify(` come before their
+    argument; that first error is the one raised.
     """
-    if isinstance(node, (IntLit, RatLit)):
-        return Sort.POLY if ctx is Context.DERIVE else Sort.REAL
-    if isinstance(node, SqrtInt):
-        if ctx is Context.REAL:
-            return Sort.REAL
-        if ctx is Context.HYPER:
-            root = _exact_int_sqrt(node.k)
-            if root is None:
-                raise SortError(
-                    f"sqrt({node.k}) is irrational and has no exact "
-                    "rational-slope form; use a real-context query"
-                )
-            return Sort.REAL
-        raise SortError("sqrt(...) is not allowed in a derivative body")
-    if isinstance(node, Dx):
-        if ctx is not Context.HYPER:
-            raise SortError("dx only exists in the hyperreal context")
-        return Sort.HYPER
-    if isinstance(node, Omega):
-        if ctx is not Context.HYPER:
-            raise SortError("omega only exists in the hyperreal context")
-        return Sort.HYPER
-    if isinstance(node, Var):
-        if ctx is not Context.DERIVE:
-            raise VarOutsideDerive("x is only meaningful in a derivative body")
-        return Sort.POLY
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        left = typecheck(node.left, ctx, False)
-        right = typecheck(node.right, ctx, False)
+    hyper, derive = ctx is Context.HYPER, ctx is Context.DERIVE
+
+    def constant(n):
+        return Sort.POLY if derive else Sort.REAL
+
+    def sqrt(n):
+        if derive:
+            return SortError("sqrt(...) is not allowed in a derivative body")
+        if hyper:
+            try:
+                exact_int_sqrt(n.k)
+            except SortError as exc:
+                return exc
+        return Sort.REAL
+
+    def hyperreal(name):
+        message = f"{name} only exists in the hyperreal context"
+        return lambda n: Sort.HYPER if hyper else SortError(message)
+
+    def var(n):
+        if derive:
+            return Sort.POLY
+        return VarOutsideDerive("x is only meaningful in a derivative body")
+
+    def arith(n, left, right):
+        for sort in (left, right):
+            if isinstance(sort, SortError):
+                return sort
         if Sort.POLY in (left, right):
             return Sort.POLY
         if Sort.HYPER in (left, right):
             return Sort.HYPER
         return Sort.REAL
-    if isinstance(node, Pow):
-        return typecheck(node.base, ctx, False)
-    if isinstance(node, St):
-        if ctx is Context.DERIVE:
-            raise SortError("st(...) is not allowed in a derivative body")
-        typecheck(node.inner, ctx, False)
-        return Sort.REAL
-    if isinstance(node, Classify):
-        if ctx is not Context.HYPER or not _root:
-            raise SortError(
+
+    def st(n, inner):
+        if derive:
+            return SortError("st(...) is not allowed in a derivative body")
+        return inner if isinstance(inner, SortError) else Sort.REAL
+
+    def classify(n, inner):
+        if not hyper or n is not node:
+            return SortError(
                 "classify(...) is only allowed as the outermost hyperreal query"
             )
-        typecheck(node.inner, ctx, False)
-        return Sort.HYPER
-    raise TypeError(f"unknown node {type(node).__name__}")
+        return inner if isinstance(inner, SortError) else Sort.HYPER
 
-
-def _exact_int_sqrt(k: int) -> Optional[int]:
-    from math import isqrt
-
-    r = isqrt(k)
-    return r if r * r == k else None
+    table = {
+        IntLit: constant,
+        RatLit: constant,
+        SqrtInt: sqrt,
+        Dx: hyperreal("dx"),
+        Omega: hyperreal("omega"),
+        Var: var,
+        **dict.fromkeys((Add, Sub, Mul, Div), arith),
+        Pow: lambda n, base: base,
+        St: st,
+        Classify: classify,
+    }
+    sort = fold(node, table)
+    if isinstance(sort, SortError):
+        raise sort
+    return sort
 
 
 # -- formatting ---------------------------------------------------------------
@@ -396,49 +475,42 @@ def _exact_int_sqrt(k: int) -> Optional[int]:
 _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
 
 
-def _fmt(node) -> tuple[str, int]:
-    if isinstance(node, IntLit):
-        return str(node.value), _PREC_ATOM
-    if isinstance(node, RatLit):
-        return f"{node.value.numerator}/{node.value.denominator}", _PREC_MUL
-    if isinstance(node, SqrtInt):
-        return f"sqrt({node.k})", _PREC_ATOM
-    if isinstance(node, Dx):
-        return "dx", _PREC_ATOM
-    if isinstance(node, Omega):
-        return "omega", _PREC_ATOM
-    if isinstance(node, Var):
-        return "x", _PREC_ATOM
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        ls, lp = _fmt(node.left)
-        rs, rp = _fmt(node.right)
-        if lp < _PREC_ADD:
+def _infix(op: str, prec: int):
+    def render(n, left, right):
+        (ls, lp), (rs, rp) = left, right
+        if lp < prec:
             ls = f"({ls})"
-        if rp <= _PREC_ADD:
+        if rp <= prec:
             rs = f"({rs})"
-        return f"{ls} {op} {rs}", _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        op = "*" if isinstance(node, Mul) else "/"
-        ls, lp = _fmt(node.left)
-        rs, rp = _fmt(node.right)
-        if lp < _PREC_MUL:
-            ls = f"({ls})"
-        if rp <= _PREC_MUL:
-            rs = f"({rs})"
-        return f"{ls}{op}{rs}", _PREC_MUL
-    if isinstance(node, Pow):
-        bs, bp = _fmt(node.base)
-        if bp < _PREC_ATOM:
-            bs = f"({bs})"
-        return f"{bs}^{node.exponent}", _PREC_POW
-    if isinstance(node, St):
-        return f"st({_fmt(node.inner)[0]})", _PREC_ATOM
-    if isinstance(node, Classify):
-        return f"classify({_fmt(node.inner)[0]})", _PREC_ATOM
-    raise TypeError(f"unknown node {type(node).__name__}")
+        return f"{ls}{op}{rs}", prec
+
+    return render
+
+
+def _power(n, base):
+    bs, bp = base
+    if bp < _PREC_ATOM:
+        bs = f"({bs})"
+    return f"{bs}^{n.exponent}", _PREC_POW
+
+
+_FORMAT = {
+    IntLit: lambda n: (str(n.value), _PREC_ATOM),
+    RatLit: lambda n: (f"{n.value.numerator}/{n.value.denominator}", _PREC_MUL),
+    SqrtInt: lambda n: (f"sqrt({n.k})", _PREC_ATOM),
+    Dx: lambda n: ("dx", _PREC_ATOM),
+    Omega: lambda n: ("omega", _PREC_ATOM),
+    Var: lambda n: ("x", _PREC_ATOM),
+    Add: _infix(" + ", _PREC_ADD),
+    Sub: _infix(" - ", _PREC_ADD),
+    Mul: _infix("*", _PREC_MUL),
+    Div: _infix("/", _PREC_MUL),
+    Pow: _power,
+    St: lambda n, inner: (f"st({inner[0]})", _PREC_ATOM),
+    Classify: lambda n, inner: (f"classify({inner[0]})", _PREC_ATOM),
+}
 
 
 def format_ast(node) -> str:
     """Render a tree so that parsing the result reproduces it."""
-    return _fmt(node)[0]
+    return fold(node, _FORMAT)[0]

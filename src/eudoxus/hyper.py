@@ -22,12 +22,9 @@ from typing import Callable, Optional
 
 from . import indexset, polyq, ufsim
 from .indexset import IndexSet
+from .polyq import DivisionByZeroGerm  # noqa: F401 - re-exported
 from .reals import EudoxusReal, certified_equal, from_rational
 from .ufsim import FilterState, Verdict
-
-
-class DivisionByZeroGerm(ZeroDivisionError):
-    pass
 
 
 class PoleAtIndex(ValueError):
@@ -42,38 +39,14 @@ class InfiniteElement(ValueError):
     """Standard part requested for an infinite element."""
 
 
-@dataclass(frozen=True)
-class RationalSlopeGerm:
-    """Slope function r(i) = num(i)/den(i), stored in reduced normal form."""
+class RationalSlopeGerm(polyq.RatFun):
+    """Slope function r(i) = num(i)/den(i): the shared quotient type, read
+    as a germ in the index i."""
 
-    num: polyq.Coeffs
-    den: polyq.Coeffs
+    noun = "germ"
 
-    def __post_init__(self):
-        num, den = polyq.normalize_ratfun(self.num, self.den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def is_constant(self) -> bool:
-        return polyq.degree(self.num) <= 0 and polyq.degree(self.den) == 0
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return RationalSlopeGerm(polyq.neg(self.num), self.den)
+    def pole(self, n) -> Exception:
+        return PoleAtIndex(n)
 
     def __str__(self) -> str:
         return format_germ(self)
@@ -99,29 +72,11 @@ def from_real(q) -> RationalSlopeGerm:
     return germ((q.numerator,), (q.denominator,))
 
 
-def add(x: RationalSlopeGerm, y: RationalSlopeGerm) -> RationalSlopeGerm:
-    num = polyq.add(polyq.mul(x.num, y.den), polyq.mul(y.num, x.den))
-    return RationalSlopeGerm(num, polyq.mul(x.den, y.den))
-
-
-def sub(x: RationalSlopeGerm, y: RationalSlopeGerm) -> RationalSlopeGerm:
-    return add(x, -y)
-
-
-def mul(x: RationalSlopeGerm, y: RationalSlopeGerm) -> RationalSlopeGerm:
-    return RationalSlopeGerm(polyq.mul(x.num, y.num), polyq.mul(x.den, y.den))
-
-
-def div(x: RationalSlopeGerm, y: RationalSlopeGerm) -> RationalSlopeGerm:
-    if y.is_zero():
-        raise DivisionByZeroGerm("division by the zero germ")
-    return RationalSlopeGerm(polyq.mul(x.num, y.den), polyq.mul(x.den, y.num))
-
-
-def pow_(x: RationalSlopeGerm, k: int) -> RationalSlopeGerm:
-    if k < 0:
-        raise ValueError("negative germ power; divide instead")
-    return RationalSlopeGerm(polyq.pow_(x.num, k), polyq.pow_(x.den, k))
+add = RationalSlopeGerm.__add__
+sub = RationalSlopeGerm.__sub__
+mul = RationalSlopeGerm.__mul__
+div = RationalSlopeGerm.__truediv__
+pow_ = RationalSlopeGerm.__pow__
 
 
 class Order(enum.Enum):
@@ -192,10 +147,7 @@ def leading_term(x: RationalSlopeGerm) -> tuple[Fraction, int]:
 
 def phi_component(x: RationalSlopeGerm, n: int) -> Fraction:
     """The component slope at index n."""
-    dv = polyq.eval_at(x.den, n)
-    if dv == 0:
-        raise PoleAtIndex(n)
-    return Fraction(polyq.eval_at(x.num, n), dv)
+    return x(n)
 
 
 def realize_component(x: RationalSlopeGerm, n: int) -> EudoxusReal:
@@ -247,13 +199,7 @@ class PiecewiseRescaling:
     description: str = ""
 
     def __post_init__(self):
-        union = indexset.empty()
-        for s, _ in self.pieces:
-            if not intersect_empty_check(union, s):
-                raise ValueError("piece sets overlap")
-            union = indexset.union(union, s)
-        if union != indexset.full():
-            raise ValueError("piece sets do not cover the index line")
+        indexset.check_partition(s for s, _ in self.pieces)
 
     def component(self, n: int) -> EudoxusReal:
         for s, v in self.pieces:
@@ -277,10 +223,6 @@ class PiecewiseRescaling:
 
     def mul(self, other: "PiecewiseRescaling") -> "PiecewiseRescaling":
         return self._combine(other, lambda a, b: a.mul(b), "*")
-
-
-def intersect_empty_check(s: IndexSet, t: IndexSet) -> bool:
-    return indexset.intersect(s, t) == indexset.empty()
 
 
 def constant_rescaling(x: EudoxusReal, description: str = "") -> PiecewiseRescaling:

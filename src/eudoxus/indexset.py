@@ -81,10 +81,6 @@ def _canonicalize(pre: str, period: str) -> tuple[str, str]:
     return pre, period
 
 
-def make(pre: str, period: str) -> IndexSet:
-    return IndexSet(pre, period)
-
-
 def full() -> IndexSet:
     return IndexSet("", "1")
 
@@ -109,11 +105,6 @@ def multiples(k: int) -> IndexSet:
     if k < 1:
         raise ValueError("modulus must be positive")
     return IndexSet("", "1" + "0" * (k - 1))
-
-
-def final_segment(n: int) -> IndexSet:
-    """All naturals >= n."""
-    return IndexSet("0" * n, "1")
 
 
 def _binary(s: IndexSet, t: IndexSet, op) -> IndexSet:
@@ -143,6 +134,21 @@ def complement(s: IndexSet) -> IndexSet:
 
 def difference(s: IndexSet, t: IndexSet) -> IndexSet:
     return intersect(s, complement(t))
+
+
+class PartitionError(ValueError):
+    """The classes do not form a disjoint cover of the index line."""
+
+
+def check_partition(classes) -> None:
+    """Raise PartitionError unless the sets are disjoint and cover the naturals."""
+    covered = empty()
+    for i, s in enumerate(classes):
+        if intersect(covered, s) != empty():
+            raise PartitionError(f"class {i} overlaps an earlier class")
+        covered = union(covered, s)
+    if covered != full():
+        raise PartitionError("classes do not cover the index line")
 
 
 def format_set(s: IndexSet) -> str:

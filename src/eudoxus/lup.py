@@ -15,14 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import indexset
+from . import hyper, indexset
 from .hyper import PiecewiseRescaling, RationalSlopeGerm, phi_component
-from .indexset import IndexSet
+from .indexset import IndexSet, PartitionError
 from .reals import certified_equal
-
-
-class PartitionError(ValueError):
-    """The classes do not form a disjoint cover of the index line."""
 
 
 class UndecidableWithinBudget(Exception):
@@ -34,15 +30,7 @@ class Partition:
     classes: tuple[IndexSet, ...]
 
     def __post_init__(self):
-        if not self.classes:
-            raise PartitionError("partition needs at least one class")
-        union = indexset.empty()
-        for i, s in enumerate(self.classes):
-            if indexset.intersect(union, s) != indexset.empty():
-                raise PartitionError(f"class {i} overlaps an earlier class")
-            union = indexset.union(union, s)
-        if union != indexset.full():
-            raise PartitionError("classes do not cover the index line")
+        indexset.check_partition(self.classes)
 
 
 @dataclass(frozen=True)
@@ -142,7 +130,7 @@ def restricted_closure_check(xs, spec: LimitFilterSpec, rng=None) -> ClosureRepo
     for i, j in pairs:
         a, b = xs[i], xs[j]
         if isinstance(a, RationalSlopeGerm):
-            total, product = a + b, a * b
+            total, product = hyper.add(a, b), hyper.mul(a, b)
         else:
             total, product = a.add(b), a.mul(b)
         if not is_admissible(total, spec):

@@ -1,13 +1,14 @@
-"""Dense integer-coefficient polynomials and reduced rational-function pairs.
+"""Dense integer-coefficient polynomials and the one rational-function type.
 
 Coefficients are stored lowest-degree first; the zero polynomial is the empty
 tuple. All arithmetic is exact (ints, with Fractions only in transient
-values). This module is the shared engine behind index-dependent slopes and
-the polynomial calculus layer.
+values). `RatFun` is the shared quotient behind index-dependent slopes
+(`hyper.RationalSlopeGerm`) and the calculus layer (`calculus.RatFunction`).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -177,6 +178,76 @@ def normalize_ratfun(num, den) -> tuple[Coeffs, Coeffs]:
     if leading(den) < 0:
         num, den = neg(num), neg(den)
     return num, den
+
+
+class DivisionByZeroGerm(ZeroDivisionError):
+    """Division by the zero rational function."""
+
+
+@dataclass(frozen=True)
+class RatFun:
+    """Quotient num/den of integer polynomials, stored in reduced normal form.
+
+    Rational coefficients are cleared at construction; integer input, such as
+    every result of arithmetic, goes straight to normalize_ratfun. Subclasses
+    are views: they name the quotient in messages (`noun`), print it, and
+    return the error to raise at a pole from `pole(x)`.
+    """
+
+    num: Coeffs
+    den: Coeffs
+
+    noun = "function"
+
+    def __post_init__(self):
+        num, den = self.num, self.den
+        if any(type(c) is not int for p in (num, den) for c in p):
+            num, mn = from_fraction_coeffs(num)
+            den, md = from_fraction_coeffs(den)
+            num, den = scale(num, md), scale(den, mn)
+        num, den = normalize_ratfun(num, den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def pole(self, x) -> Exception:
+        return ZeroDivisionError(f"pole at {x}")
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def is_constant(self) -> bool:
+        return degree(self.num) <= 0 and degree(self.den) == 0
+
+    def __add__(self, other):
+        num = add(mul(self.num, other.den), mul(other.num, self.den))
+        return type(self)(num, mul(self.den, other.den))
+
+    def __sub__(self, other):
+        num = sub(mul(self.num, other.den), mul(other.num, self.den))
+        return type(self)(num, mul(self.den, other.den))
+
+    def __mul__(self, other):
+        return type(self)(mul(self.num, other.num), mul(self.den, other.den))
+
+    def __truediv__(self, other):
+        if not other.num:
+            raise DivisionByZeroGerm(f"division by the zero {self.noun}")
+        return type(self)(mul(self.num, other.den), mul(self.den, other.num))
+
+    def __neg__(self):
+        return type(self)(neg(self.num), self.den)
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power; divide instead")
+        return type(self)(pow_(self.num, k), pow_(self.den, k))
+
+    def __call__(self, x) -> Fraction:
+        """The value at the point x; the view's pole error where den(x) = 0."""
+        dv = eval_at(self.den, x)
+        if dv == 0:
+            raise self.pole(x)
+        return Fraction(eval_at(self.num, x), dv)
 
 
 def from_fraction_coeffs(coeffs) -> tuple[Coeffs, int]:

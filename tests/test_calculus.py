@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from eudoxus import calculus, hyper
+from eudoxus import calculus, hyper, polyq
 from eudoxus.calculus import (
     RatFunction,
     SubstitutionPole,
@@ -138,3 +138,10 @@ def test_ratfunction_normal_form():
     g = RatFunction((1, 1), (2,))
     assert f == g
     assert str(from_coeffs((0, -2, 0, 1))) == "x^3 - 2*x"
+
+
+def test_bare_ratfun_pole_is_zero_division():
+    f = polyq.RatFun((1,), (-1, 1))
+    assert f(3) == Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError, match="pole at 1"):
+        f(1)

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from eudoxus.cli import main
+from eudoxus.expr import MAX_NESTING
 
 
 def run_cli(argv, capsys):
@@ -196,3 +197,46 @@ def test_selftest_passes(capsys):
     lines = out.splitlines()
     assert all("PASS" in line for line in lines[:-1])
     assert "0 failures" in lines[-1]
+
+
+@pytest.mark.parametrize("body", ["x/0", "1/(x-x)"])
+def test_derive_zero_divisor_exits_3(body, capsys):
+    code, out, err = run_cli(["derive", body, "--at", "1"], capsys)
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: division by the zero function"]
+
+
+@pytest.mark.parametrize(
+    "command, opener, atom, first_line",
+    [
+        (["digits", "E"], "(", "2", "2.0000000000"),
+        (["hyper", "eval", "E"], "st(", "dx", "class: Zero"),
+        (["derive", "E", "--at", "1"], "(", "x", "1"),
+    ],
+)
+def test_nesting_limit_in_each_context(command, opener, atom, first_line, capsys):
+    def argv(depth):
+        text = opener * depth + atom + ")" * depth
+        return [text if arg == "E" else arg for arg in command]
+
+    code, out, _ = run_cli(argv(MAX_NESTING - 1), capsys)
+    assert code == 0 and out.splitlines()[0] == first_line
+    code, out, err = run_cli(argv(600), capsys)
+    assert code == 1 and out == ""
+    offset = MAX_NESTING * len(opener)
+    assert err.splitlines() == [
+        f"error: nesting deeper than {MAX_NESTING} levels (offset {offset})"
+    ]
+
+
+def test_long_sums_evaluate_exactly(capsys):
+    code, out, _ = run_cli(["hyper", "eval", "+".join(["dx"] * 3000)], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "class: PositiveInfinitesimal",
+        "st: 0",
+        "leading: 3000*i^-1",
+        "germ: 3000/i",
+    ]
+    code, out, _ = run_cli(["derive", "+".join(["x"] * 3000), "--at", "1"], capsys)
+    assert code == 0 and out.splitlines() == ["3000", "3000.0000000000"]

@@ -9,6 +9,7 @@ from eudoxus.expr import (
     Context,
     Div,
     Dx,
+    MAX_NESTING,
     ExprSyntaxError,
     IntLit,
     Mul,
@@ -110,6 +111,27 @@ def test_typecheck_sqrt_in_hyper_context():
         typecheck(parse("sqrt(2) + dx"), Context.HYPER)
     with pytest.raises(SortError):
         typecheck(parse("sqrt(2)*x"), Context.DERIVE)
+
+
+@pytest.mark.parametrize("opener", ["(", "st(", "classify("])
+def test_nesting_limit(opener):
+    def nested(depth):
+        return opener * depth + "1" + ")" * depth
+
+    parse(nested(MAX_NESTING - 1))
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(nested(600))
+    assert exc.value.offset == MAX_NESTING * len(opener)
+
+
+def test_typecheck_raises_the_first_error_in_reading_order():
+    # st( is read before its argument, and the left operand before the right.
+    with pytest.raises(SortError, match="st"):
+        typecheck(parse("st(dx)"), Context.DERIVE)
+    with pytest.raises(SortError, match="dx"):
+        typecheck(parse("dx + st(x)"), Context.DERIVE)
+    with pytest.raises(SortError, match="classify"):
+        typecheck(parse("1 + classify(x)"), Context.HYPER)
 
 
 def _gen(rng: random.Random, depth: int):

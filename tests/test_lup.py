@@ -117,6 +117,19 @@ def test_closure_under_sum_and_product():
     assert report.pairs_checked == 28
 
 
+def test_closure_check_on_germs_uses_hyper_arithmetic(monkeypatch):
+    calls = []
+    for name in ("add", "mul"):
+        fn = getattr(hyper, name)
+        monkeypatch.setattr(
+            hyper, name, lambda a, b, fn=fn, name=name: calls.append(name) or fn(a, b)
+        )
+    spec = LimitFilterSpec((_halves(),))
+    report = restricted_closure_check([from_real(1), from_real(2)], spec)
+    assert report.ok
+    assert calls == ["add", "mul"]
+
+
 def test_closure_check_rejects_inadmissible_input():
     spec = LimitFilterSpec((_halves(),))
     with pytest.raises(ValueError):
