@@ -53,12 +53,15 @@ def set_cache_limit(limit: int | None) -> None:
 class AlmostHom:
     """Base class of rule-tree nodes.
 
-    Subclasses provide `_raw` (the closed-form evaluator) and `bound` (the
-    certified discrepancy bound). `eval` memoizes per node; evaluation is
-    observationally pure.
+    Subclasses provide `_raw` (the closed-form evaluator), `bound` (the
+    certified discrepancy bound) and `direction` (the monotonicity the node
+    has by construction: +1 nondecreasing, -1 nonincreasing, 0 constant, None
+    when the structure does not decide it). `eval` memoizes per node;
+    evaluation is observationally pure.
     """
 
     bound: int
+    direction: int | None
 
     @cached_property
     def _memo(self) -> dict:
@@ -101,6 +104,10 @@ class FloorLinear(AlmostHom):
     def bound(self) -> int:
         return 1
 
+    @property
+    def direction(self) -> int:
+        return (self.p > 0) - (self.p < 0)
+
     def _raw(self, a: int) -> int:
         return (self.p * a) // self.q
 
@@ -124,6 +131,10 @@ class FloorSqrt(AlmostHom):
     def bound(self) -> int:
         return 2
 
+    @property
+    def direction(self) -> int:
+        return 1 if self.k else 0
+
     def _raw(self, a: int) -> int:
         if a < 0:
             return -isqrt(self.k * a * a)
@@ -141,6 +152,15 @@ class Sum(AlmostHom):
     def bound(self) -> int:
         return self.left.bound + self.right.bound
 
+    @cached_property
+    def direction(self) -> int | None:
+        a, b = self.left.direction, self.right.direction
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        return a if a == b else None
+
     def _raw(self, a: int) -> int:
         return self.left.eval(a) + self.right.eval(a)
 
@@ -154,6 +174,11 @@ class Neg(AlmostHom):
     @property
     def bound(self) -> int:
         return self.inner.bound
+
+    @cached_property
+    def direction(self) -> int | None:
+        d = self.inner.direction
+        return None if d is None else -d
 
     def _raw(self, a: int) -> int:
         return -self.inner.eval(a)
@@ -170,6 +195,13 @@ class IntScale(AlmostHom):
     def bound(self) -> int:
         return max(1, abs(self.m) * self.inner.bound)
 
+    @cached_property
+    def direction(self) -> int | None:
+        if self.m == 0:
+            return 0
+        d = self.inner.direction
+        return None if d is None else (d if self.m > 0 else -d)
+
     def _raw(self, a: int) -> int:
         return self.m * self.inner.eval(a)
 
@@ -182,8 +214,11 @@ class Compose(AlmostHom):
 
         d = outer(e) + d_outer(inner(p) + inner(q), e) + d_outer(inner(p), inner(q))
 
-    so |d| <= 2*C_outer + max(|outer(e)| : |e| <= C_inner). The max is over a
-    finite range and is computed by direct evaluation.
+    so |d| <= 2*C_outer + max(|outer(e)| : |e| <= C_inner). When `outer` is
+    monotone by construction, outer(e) lies between outer(-C_inner) and
+    outer(C_inner), so the max is taken at the two endpoints: the same number
+    as a scan, in O(1) evaluations. Otherwise every |e| <= C_inner is
+    evaluated.
     """
 
     outer: AlmostHom
@@ -192,8 +227,19 @@ class Compose(AlmostHom):
     @cached_property
     def bound(self) -> int:
         c = self.inner.bound
-        peak = max(abs(self.outer.eval(e)) for e in range(-c, c + 1))
-        return 2 * self.outer.bound + peak
+        g = self.outer
+        if g.direction is not None:
+            peak = max(abs(g.eval(c)), abs(g.eval(-c)))
+        else:
+            peak = max(abs(g.eval(e)) for e in range(-c, c + 1))
+        return 2 * g.bound + peak
+
+    @cached_property
+    def direction(self) -> int | None:
+        a, b = self.outer.direction, self.inner.direction
+        if a == 0 or b == 0:
+            return 0
+        return None if a is None or b is None else a * b
 
     def _raw(self, a: int) -> int:
         return self.outer.eval(self.inner.eval(a))
@@ -204,10 +250,11 @@ class Invert(AlmostHom):
     """Order-theoretic inverse of a certified-positive almost homomorphism.
 
     For p >= 0 the value is min{a >= 0 : inner(a) >= p}, extended oddly to
-    p < 0; this represents 1/r when inner represents r > 0. `witness_n` is an
-    index with inner(witness_n) > inner.bound, certifying positivity; from it
-    a positive rational lower bound r_lo <= r is derived, giving the
-    certificate |value(p) - p/r| <= C/r + 1 and hence the bound 3*(C/r_lo + 1).
+    p < 0; this represents 1/r when inner represents r > 0. The map is
+    nondecreasing. `witness_n` is an index with inner(witness_n) >
+    inner.bound, certifying positivity; from it a positive rational lower
+    bound r_lo <= r is derived, giving the certificate
+    |value(p) - p/r| <= C/r + 1 and hence the bound 3*(C/r_lo + 1).
     """
 
     inner: AlmostHom
@@ -238,24 +285,48 @@ class Invert(AlmostHom):
         c = self.inner.bound
         return ceil(3 * (c / self._r_lo + 1))
 
+    @property
+    def direction(self) -> int:
+        return 1
+
     def _raw(self, a: int) -> int:
         if a < 0:
             return -self._search(-a)
         return self._search(a)
 
     def _search(self, p: int) -> int:
+        """min{a >= 0 : f(a) >= p} for p >= 0, where f = inner has slope r > 0.
+
+        Since |f(a) - r*a| <= C for a >= 0, one probe f(n) > C brackets r in
+        [lo, hi] = [(f(n) - C)/n, (f(n) + C)/n], and then f(a) <= hi*a + C < p
+        for every 0 <= a < a_lo = ceil((p - C)/hi), while f(a_hi) >= p at
+        a_hi = ceil((p + C)/lo) + 1. Every a below a_lo fails, so the answer
+        is the first a >= a_lo with f(a) >= p whichever probe n closed the
+        bracket: n only decides how wide [a_lo, a_hi] is. The probes climb
+        the ladder max(witness_n, 1024) * 2^j from the rung just below p/16
+        until the window is narrow, all in exact integer arithmetic. A
+        nondecreasing f is bisected over [a_lo, a_hi]; any other f is
+        scanned upward from a_lo, since it may cross p more than once.
+        """
         f, c = self.inner, self.inner.bound
-        n = max(self.witness_n, 1024)
+        base = max(self.witness_n, 1024)
+        n = base << max(0, ((p >> 4) // base).bit_length() - 1)
         while True:
             fn = f.eval(n)
-            lo = Fraction(fn - c, n)
-            hi = Fraction(fn + c, n)
-            if lo > 0:
-                a_lo = max(0, ceil(Fraction(p - c) / hi)) if p > c else 0
-                a_hi = ceil(Fraction(p + c) / lo) + 1
-                if a_hi - a_lo <= max(64, ceil(2 * c / lo) + 8):
+            if fn > c:
+                a_lo = -((c - p) * n // (fn + c)) if p > c else 0
+                a_hi = -(-(p + c) * n // (fn - c)) + 1
+                if a_hi - a_lo <= max(64, -(-2 * c * n // (fn - c)) + 8):
                     break
             n *= 2
+        if f.direction == 1:
+            while a_lo < a_hi:
+                mid = (a_lo + a_hi) // 2
+                if f.eval(mid) >= p:
+                    a_hi = mid
+                else:
+                    a_lo = mid + 1
+            return a_lo
         a = a_lo
         while f.eval(a) < p:
             a += 1

@@ -121,3 +121,15 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
+
+
+def least_reaching(f, p: int) -> int:
+    """min{a >= 0 : f(a) >= p}, counting up from a = 0.
+
+    `f` is any callable on the integers that eventually reaches p; no
+    monotonicity or slope estimate is assumed.
+    """
+    a = 0
+    while f(a) < p:
+        a += 1
+    return a

@@ -9,6 +9,7 @@ from eudoxus.ahom import (
     FloorLinear,
     FloorSqrt,
     IntScale,
+    Invert,
     Neg,
     RuleSyntaxError,
     Sum,
@@ -20,7 +21,7 @@ from eudoxus.ahom import (
     verify_bound,
 )
 
-from oracles import bisect_isqrt
+from oracles import bisect_isqrt, least_reaching
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -206,3 +207,123 @@ def test_invert_round_trip():
 
     inv = from_rational(3, 2).recip(1 << 20).rep
     assert parse_rule(format_rule(inv)) == inv
+
+
+# -- Invert search, monotonicity and Compose endpoints ------------------------------
+
+
+def _witnessed(f, limit=1024):
+    """Invert(f, n) at the first n = 1, 2, 4, ... <= limit certifying f > 0."""
+    n = 1
+    while n <= limit:
+        if f.eval(n) > f.bound:
+            return Invert(f, n)
+        n *= 2
+    return None
+
+
+_MONOTONE_INNER = [
+    FloorSqrt(2),
+    FloorLinear(3, 7),
+    FloorLinear(41, 3),
+    Sum(FloorSqrt(3), FloorLinear(1, 2)),
+    IntScale(2, FloorSqrt(5)),
+    Neg(FloorLinear(-5, 4)),
+    Compose(FloorSqrt(2), FloorLinear(2, 3)),
+    Compose(FloorLinear(-1, 1), FloorLinear(-7, 5)),
+    _witnessed(FloorSqrt(2)),
+    _witnessed(_witnessed(FloorSqrt(3))),
+]
+
+_NON_MONOTONE_INNER = [
+    Sum(FloorSqrt(3), Neg(FloorSqrt(2))),  # sqrt(3) - sqrt(2)
+    Sum(FloorLinear(1, 2), Neg(FloorLinear(1, 3))),
+    Sum(FloorSqrt(7), FloorLinear(-1, 3)),
+]
+
+
+@pytest.mark.parametrize("inner", _MONOTONE_INNER + _NON_MONOTONE_INNER, ids=format_rule)
+def test_invert_value_is_least_index_reaching_p(inner):
+    inv = _witnessed(inner)
+    assert inv is not None
+    f = inner.eval
+    probes = list(range(-200, 201)) + [997, 4096, 12345, -20011]
+    for p in probes:
+        expected = least_reaching(f, p) if p >= 0 else -least_reaching(f, -p)
+        assert inv.eval(p) == expected, p
+
+
+def test_invert_inner_directions_cover_both_search_paths():
+    assert all(f.direction == 1 for f in _MONOTONE_INNER)
+    assert all(f.direction is None for f in _NON_MONOTONE_INNER)
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.5:
+            return FloorLinear(rng.randint(-6, 6), rng.randint(1, 5))
+        return FloorSqrt(rng.randint(0, 12))
+    kind = rng.choice(("sum", "neg", "scale", "compose", "invert"))
+    a = _random_tree(rng, depth - 1)
+    if kind == "sum":
+        return Sum(a, _random_tree(rng, depth - 1))
+    if kind == "neg":
+        return Neg(a)
+    if kind == "scale":
+        return IntScale(rng.randint(-3, 3), a)
+    if kind == "compose":
+        return Compose(a, _random_tree(rng, depth - 1))
+    return _witnessed(a) or _witnessed(Neg(a)) or a
+
+
+def test_direction_is_sound_on_random_trees():
+    rng = random.Random(2004)
+    window = range(-120, 121)
+    decided = 0
+    for _ in range(150):
+        f = _random_tree(rng, 3)
+        d = f.direction
+        if d is None:
+            continue
+        decided += 1
+        vals = eval_range(f, window)
+        steps = [b - a for a, b in zip(vals, vals[1:])]
+        if d == 0:
+            assert all(s == 0 for s in steps), format_rule(f)
+        else:
+            assert all(d * s >= 0 for s in steps), format_rule(f)
+    assert decided >= 75
+
+
+def test_compose_endpoint_peak_equals_full_scan():
+    rng = random.Random(2003)
+    inners = [FloorSqrt(2), IntScale(7, FloorSqrt(3)), _witnessed(FloorLinear(1, 9))]
+    checked = 0
+    while checked < 60:
+        g = _random_tree(rng, 2)
+        if g.direction is None:
+            continue
+        for inner in inners:
+            c = inner.bound
+            scan = max(abs(g.eval(e)) for e in range(-c, c + 1))
+            assert Compose(g, inner).bound == 2 * g.bound + scan, format_rule(g)
+        checked += 1
+
+
+def _square(f):
+    return Compose(f, f)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        _witnessed(_witnessed(_witnessed(FloorSqrt(2)))),
+        Compose(FloorLinear(1, 1), _witnessed(Compose(FloorLinear(1, 1), _witnessed(FloorSqrt(5))))),
+        _square(_square(FloorSqrt(2))),
+        Compose(FloorSqrt(3), _square(_square(FloorSqrt(3)))),
+        _square(Compose(FloorSqrt(7), _square(FloorSqrt(7)))),
+    ],
+    ids=format_rule,
+)
+def test_deep_invert_and_squared_power_certificates_audit(f):
+    assert verify_bound(f, 30).ok

@@ -1,10 +1,15 @@
+import dataclasses
 import json
 import os
+import stat
 
 import pytest
 
-from eudoxus.cli import main
+from eudoxus import ahom, cli, reals
+from eudoxus.cli import _real_power, main
 from eudoxus.expr import MAX_NESTING
+
+from oracles import bisect_isqrt
 
 
 def run_cli(argv, capsys):
@@ -240,3 +245,132 @@ def test_long_sums_evaluate_exactly(capsys):
     ]
     code, out, _ = run_cli(["derive", "+".join(["x"] * 3000), "--at", "1"], capsys)
     assert code == 0 and out.splitlines() == ["3000", "3000.0000000000"]
+
+
+def _sqrt_digits(n: int, digits: int) -> str:
+    """sqrt(n) rounded half-up to `digits` places (n not a perfect square)."""
+    units = (bisect_isqrt(n * 10 ** (2 * digits + 2)) + 5) // 10
+    ipart, frac = divmod(units, 10**digits)
+    return f"{ipart}.{frac:0{digits}d}"
+
+
+def test_large_powers_answer_correctly(capsys):
+    # Were MemoryError (Compose.bound scanned 10^13 points) and
+    # RecursionError (a 2000-deep Compose chain).
+    code, out, _ = run_cli(["digits", "sqrt(5)*(sqrt(5)^20)"], capsys)
+    assert code == 0 and out == _sqrt_digits(5**21, 10) + "\n"
+    code, out, _ = run_cli(["digits", "sqrt(2)^2000"], capsys)
+    assert code == 0 and out == f"{2**1000}.0000000000\n"
+
+
+def test_power_certificates_no_looser_than_the_chain():
+    for k in (2, 3, 5, 6, 7, 10, 37):
+        base = reals.from_sqrt_int(k)
+        chain = reals.one()
+        for e in range(41):
+            power = _real_power(base, e)
+            assert power.rep.bound <= chain.rep.bound, (k, e)
+            assert power.equals_within(chain, 64), (k, e)
+            chain = chain.mul(base)
+    assert _real_power(reals.from_sqrt_int(2), 40).rep.bound < 10**7
+
+
+def _memo_entries(root) -> int:
+    """Memoized values over the distinct nodes of a rule tree."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            for f in dataclasses.fields(node):
+                child = getattr(node, f.name)
+                if isinstance(child, ahom.AlmostHom):
+                    stack.append(child)
+    return sum(len(node.__dict__.get("_memo", ())) for node in seen.values())
+
+
+def test_power_of_a_non_monotone_base_keeps_the_chain():
+    base = reals.from_sqrt_int(7).sub(reals.from_sqrt_int(2))
+    assert base.rep.direction is None
+    power = _real_power(base, 64)
+    assert power.rep.bound > 0
+    # The chain reads 5,138 values; squaring, whose Compose.bound scans the
+    # half power's whole bound, would read 2,986,327.
+    assert _memo_entries(power.rep) < 50_000
+
+
+def test_power_budget_used_follows_the_squared_certificate(capsys):
+    # The chain's certificate gave 6597069766652000000000000.
+    code, out, _ = run_cli(["digits", "--json", "sqrt(2)^40"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["budget_used"] == 18535278000000000000
+    assert doc["result"]["value"] == "1048576.0000000000"
+
+
+def test_nested_invert_evaluates_the_innermost_node_less():
+    leaf = reals.from_sqrt_int(2)
+    x = leaf
+    for _ in range(3):  # 1/(1/(1/sqrt(2))), built as `digits` builds it
+        x = reals.one().mul(x.recip(1 << 20))
+    assert x.to_decimal(10) == "0.7071067812"
+    # A linear scan from a bracket restarted at n = 1024 left 2,116 values.
+    assert len(leaf.rep._memo) < 2116
+
+
+def test_ultra_query_crash_mid_write_keeps_the_old_trace(tmp_path, capsys, monkeypatch):
+    state = tmp_path / "ultra.trace"
+    run_cli(["ultra", "query", "pre:;per:10", "--state", str(state)], capsys)
+    before = state.read_text(encoding="utf-8")
+
+    class PartWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:5])
+            self.fh.flush()
+            raise OSError("simulated crash mid-write")
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    def crashing_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return PartWrite(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(cli, "open", crashing_open, raising=False)
+    with pytest.raises(OSError):
+        main(["ultra", "query", "pre:;per:001", "--state", str(state)])
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert state.read_text(encoding="utf-8") == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ultra.trace", "ultra.trace.lock"]
+    code, out, _ = run_cli(["ultra", "trace", "--state", str(state)], capsys)
+    assert code == 0 and out == before
+
+
+def test_ultra_query_keeps_the_state_file_mode(tmp_path, capsys):
+    state = tmp_path / "ultra.trace"
+    run_cli(["ultra", "query", "pre:;per:10", "--state", str(state)], capsys)
+    state.chmod(0o600)
+    run_cli(["ultra", "query", "pre:;per:01", "--state", str(state)], capsys)
+    assert stat.S_IMODE(state.stat().st_mode) == 0o600
+
+
+def test_ultra_query_writes_through_a_symlinked_state_path(tmp_path, capsys):
+    target = tmp_path / "real.trace"
+    link = tmp_path / "link.trace"
+    link.symlink_to(target)
+    run_cli(["ultra", "query", "pre:;per:10", "--state", str(link)], capsys)
+    run_cli(["ultra", "query", "pre:;per:01", "--state", str(link)], capsys)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    code, out, _ = run_cli(["ultra", "trace", "--state", str(target)], capsys)
+    assert code == 0 and out == target.read_text(encoding="utf-8")
+    assert out.splitlines() == ["Accepted pre:;per:10", "Rejected pre:;per:01"]
