@@ -22,7 +22,6 @@ from .ahom import (
     discrepancy,
     format_rule,
     parse_rule,
-    set_cache_limit,
     verify_bound,
 )
 from .calculus import RatFunction, SubstitutionPole, adequal, derivative_at, extend

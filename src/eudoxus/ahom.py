@@ -35,21 +35,6 @@ class RuleSyntaxError(ValueError):
         self.offset = offset
 
 
-_cache_limit: int | None = None
-
-
-def set_cache_limit(limit: int | None) -> None:
-    """Cap per-node memo tables at `limit` entries (None = unbounded).
-
-    Eviction policy is discard-all: when a table is full the whole table is
-    cleared before the next insert.
-    """
-    global _cache_limit
-    if limit is not None and limit < 1:
-        raise ValueError("cache limit must be positive or None")
-    _cache_limit = limit
-
-
 class AlmostHom:
     """Base class of rule-tree nodes.
 
@@ -72,8 +57,6 @@ class AlmostHom:
         v = memo.get(a)
         if v is None:
             v = self._raw(a)
-            if _cache_limit is not None and len(memo) >= _cache_limit:
-                memo.clear()
             memo[a] = v
         return v
 
@@ -216,9 +199,19 @@ class Compose(AlmostHom):
 
     so |d| <= 2*C_outer + max(|outer(e)| : |e| <= C_inner). When `outer` is
     monotone by construction, outer(e) lies between outer(-C_inner) and
-    outer(C_inner), so the max is taken at the two endpoints: the same number
-    as a scan, in O(1) evaluations. Otherwise every |e| <= C_inner is
-    evaluated.
+    outer(C_inner), so the max is taken at those two endpoints.
+
+    Any other outer g is bounded by its slope. Since |g(2n) - 2g(n)| <= C_g,
+    the terms g(2^j n)/2^j move by at most C_g/2^(j+1) per step, so they
+    converge to a limit s(n) with |g(n) - s(n)| <= C_g. And s(n) = r*n for
+    the slope r = s(1): |g(mn) - m*g(n)| <= (m-1)*C_g for m >= 1 gives
+    s(mn) = m*s(n), and |g(n) + g(-n)| <= 2*C_g gives s(-n) = -s(n). So for
+    |e| <= c:
+
+        |g(e)| <= |r|*c + C_g <= min(|g(c)|, |g(-c)|) + 2*C_g,
+
+    and the bound is 4*C_g + min(|g(c)|, |g(-c)|): two evaluations, and
+    never more than 2*C_g above the bound a scan of every |e| <= c gives.
     """
 
     outer: AlmostHom
@@ -228,11 +221,10 @@ class Compose(AlmostHom):
     def bound(self) -> int:
         c = self.inner.bound
         g = self.outer
+        ends = abs(g.eval(c)), abs(g.eval(-c))
         if g.direction is not None:
-            peak = max(abs(g.eval(c)), abs(g.eval(-c)))
-        else:
-            peak = max(abs(g.eval(e)) for e in range(-c, c + 1))
-        return 2 * g.bound + peak
+            return 2 * g.bound + max(ends)
+        return 4 * g.bound + min(ends)
 
     @cached_property
     def direction(self) -> int | None:

@@ -133,18 +133,9 @@ def _set_config_key(cfg: Config, key: str, value: str, where: str) -> None:
 def _real_power(base, k: int):
     """base^k by repeated squaring, O(log k) deep.
 
-    Each square x*x is composed with the base as the outer map
-    (base*(x*x)), which gives the smaller certificate. A base not monotone
-    by construction keeps the left-to-right chain, whose every `Compose`
-    scans only the base's bound: a square's `Compose.bound` scans the whole
-    bound of the half power, so certifying (sqrt(7)-sqrt(2))^64 fills
-    2,986,327 memo entries by squaring and 5,138 by the chain.
+    An odd step composes the base outside the square (base*(x*x)), which
+    gives the smaller certificate.
     """
-    if base.rep.direction is None:
-        out = reals.one()
-        for _ in range(k):
-            out = out.mul(base)
-        return out
     if k == 0:
         return reals.one()
     if k == 1:

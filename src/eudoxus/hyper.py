@@ -86,11 +86,15 @@ class Order(enum.Enum):
 
 
 def compare(x: RationalSlopeGerm, y: RationalSlopeGerm) -> Order:
-    """Eventual-sign comparison; ultrafilter-independent on this tier."""
-    d = sub(x, y)
-    if d.is_zero():
+    """Eventual-sign comparison; ultrafilter-independent on this tier.
+
+    Both denominators have positive leading coefficients, so x - y has the
+    eventual sign of its numerator x.num*y.den - y.num*x.den.
+    """
+    d = polyq.sub(polyq.mul(x.num, y.den), polyq.mul(y.num, x.den))
+    if not d:
         return Order.EQUAL
-    return Order.GREATER if polyq.leading(d.num) > 0 else Order.LESS
+    return Order.GREATER if polyq.leading(d) > 0 else Order.LESS
 
 
 class HyperKind(enum.Enum):

@@ -57,9 +57,6 @@ class IndexSet:
     def is_cofinite(self) -> bool:
         return "0" not in self.period
 
-    def is_empty(self) -> bool:
-        return self == empty()
-
     def members_if_finite(self) -> list[int]:
         if not self.is_finite():
             raise ValueError("set is infinite")

@@ -8,6 +8,7 @@ reconstruction by Gaussian elimination over Fractions.
 
 from __future__ import annotations
 
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 
@@ -30,6 +31,19 @@ def sqrt_decimal_truncated(k: int, digits: int) -> str:
     scaled = bisect_isqrt(k * 10 ** (2 * digits))
     ipart, frac = divmod(scaled, 10**digits)
     return f"{ipart}.{frac:0{digits}d}"
+
+
+def sqrt_difference_power_decimal(a: int, b: int, n: int, digits: int) -> str:
+    """(sqrt(a) - sqrt(b))^n rounded half-up to `digits` places, by `decimal`.
+
+    For a, b < 100 every factor is below 10 in size, so the value has at
+    most n integer digits, and n + digits + 40 significant digits keep the
+    rounding error of the n + 2 operations far below the last place kept.
+    """
+    with localcontext() as ctx:
+        ctx.prec = n + digits + 40
+        x = (Decimal(a).sqrt() - Decimal(b).sqrt()) ** n
+        return str(x.quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_UP))
 
 
 def long_division_decimal(p: int, q: int, digits: int) -> str:

@@ -17,7 +17,6 @@ from eudoxus.ahom import (
     eval_range,
     format_rule,
     parse_rule,
-    set_cache_limit,
     verify_bound,
 )
 
@@ -50,12 +49,6 @@ def test_eval_deterministic_and_cache_transparent():
     f = Compose(FloorSqrt(3), FloorLinear(7, 5))
     baseline = [f.eval(a) for a in range(-50, 51)]
     assert [f.eval(a) for a in range(-50, 51)] == baseline
-    set_cache_limit(4)
-    try:
-        g = Compose(FloorSqrt(3), FloorLinear(7, 5))
-        assert [g.eval(a) for a in range(-50, 51)] == baseline
-    finally:
-        set_cache_limit(None)
 
 
 def test_eval_range_agrees_with_pointwise():
@@ -307,6 +300,39 @@ def test_compose_endpoint_peak_equals_full_scan():
             c = inner.bound
             scan = max(abs(g.eval(e)) for e in range(-c, c + 1))
             assert Compose(g, inner).bound == 2 * g.bound + scan, format_rule(g)
+        checked += 1
+
+
+def test_non_monotone_outer_bound_reads_two_values():
+    g = Sum(FloorSqrt(3), Neg(FloorSqrt(2)))
+    inner = IntScale(500, FloorSqrt(2))
+    assert g.direction is None and inner.bound >= 1000
+    Compose(g, inner).bound
+    # The slope bound reads g at +-C_inner only; a scan of every
+    # |e| <= C_inner reads 2*C_inner + 1 values.
+    assert len(g._memo) <= 2
+
+
+def test_non_monotone_outer_slope_bound_audits():
+    rng = random.Random(2012)
+    inners = [
+        IntScale(50, FloorSqrt(2)),
+        IntScale(-120, FloorLinear(3, 4)),
+        IntScale(40, Sum(FloorSqrt(3), Neg(FloorSqrt(2)))),
+        _witnessed(IntScale(100, FloorLinear(1, 50))),
+    ]
+    assert all(inner.bound >= 100 for inner in inners)
+    checked = 0
+    while checked < 40:
+        g = _random_tree(rng, 3)
+        if g.direction is not None:
+            continue
+        for inner in inners:
+            c = inner.bound
+            scan = max(abs(g.eval(e)) for e in range(-c, c + 1))
+            f = Compose(g, inner)
+            assert f.bound <= 2 * g.bound + scan + 2 * g.bound, format_rule(f)
+            assert verify_bound(f, 30).ok, format_rule(f)
         checked += 1
 
 

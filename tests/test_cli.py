@@ -9,7 +9,7 @@ from eudoxus import ahom, cli, reals
 from eudoxus.cli import _real_power, main
 from eudoxus.expr import MAX_NESTING
 
-from oracles import bisect_isqrt
+from oracles import bisect_isqrt, sqrt_difference_power_decimal
 
 
 def run_cli(argv, capsys):
@@ -261,16 +261,25 @@ def test_large_powers_answer_correctly(capsys):
     assert code == 0 and out == _sqrt_digits(5**21, 10) + "\n"
     code, out, _ = run_cli(["digits", "sqrt(2)^2000"], capsys)
     assert code == 0 and out == f"{2**1000}.0000000000\n"
+    # The same two failures with a non-monotone factor, whose outer
+    # Compose.bound scanned every |e| <= C_inner.
+    code, out, err = run_cli(["digits", "(sqrt(3)-sqrt(2))*(sqrt(5)^20)"], capsys)
+    assert (code, out, err) == (0, "3103879.3476150610\n", "")
+    code, out, err = run_cli(["digits", "(sqrt(7)-sqrt(2))^1000"], capsys)
+    assert code == 0 and err == ""
+    assert out == sqrt_difference_power_decimal(7, 2, 1000, 10) + "\n"
 
 
 def test_power_certificates_no_looser_than_the_chain():
-    for k in (2, 3, 5, 6, 7, 10, 37):
-        base = reals.from_sqrt_int(k)
+    sqrt = reals.from_sqrt_int
+    bases = [sqrt(k) for k in (2, 3, 5, 6, 7, 10, 37)]
+    bases += [sqrt(a).sub(sqrt(b)) for a, b in ((7, 2), (3, 2), (5, 3))]
+    for base in bases:
         chain = reals.one()
         for e in range(41):
             power = _real_power(base, e)
-            assert power.rep.bound <= chain.rep.bound, (k, e)
-            assert power.equals_within(chain, 64), (k, e)
+            assert power.rep.bound <= chain.rep.bound, (str(base.rep), e)
+            assert power.equals_within(chain, 64), (str(base.rep), e)
             chain = chain.mul(base)
     assert _real_power(reals.from_sqrt_int(2), 40).rep.bound < 10**7
 
@@ -294,8 +303,9 @@ def test_power_of_a_non_monotone_base_keeps_the_chain():
     assert base.rep.direction is None
     power = _real_power(base, 64)
     assert power.rep.bound > 0
-    # The chain reads 5,138 values; squaring, whose Compose.bound scans the
-    # half power's whole bound, would read 2,986,327.
+    # Each Compose.bound reads two values of its outer map, so squaring
+    # fills 618 entries. The limit separates the left-to-right chain
+    # (5,138) from a scan of every |e| <= C_inner (2,986,327).
     assert _memo_entries(power.rep) < 50_000
 
 
