@@ -17,7 +17,7 @@ is safe (a race can at worst recompute the same value).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, isqrt
@@ -393,25 +393,36 @@ def verify_bound(f: AlmostHom, window: int) -> BoundReport:
 # --- canonical text form ---------------------------------------------------
 #
 # linear(p/q) | sqrt(k) | sum(A,B) | neg(A) | scale(m,A) | compose(A,B)
-# | invert(A,n) -- no whitespace; round-trips exactly.
+# | invert(A,n) -- no whitespace; round-trips exactly. The arguments are the
+# node's dataclass fields in declaration order, `/`-separated for `linear`
+# and `,`-separated otherwise: an `int` field is an integer (annotations are
+# strings in this module), any other field a nested rule.
+
+_RULE_CLASSES = {
+    "linear": FloorLinear,
+    "sqrt": FloorSqrt,
+    "sum": Sum,
+    "neg": Neg,
+    "scale": IntScale,
+    "compose": Compose,
+    "invert": Invert,
+}
+_RULE_TAGS = {cls: tag for tag, cls in _RULE_CLASSES.items()}
+
+
+def _separator(cls) -> str:
+    return "/" if cls is FloorLinear else ","
 
 
 def format_rule(f: AlmostHom) -> str:
-    if isinstance(f, FloorLinear):
-        return f"linear({f.p}/{f.q})"
-    if isinstance(f, FloorSqrt):
-        return f"sqrt({f.k})"
-    if isinstance(f, Sum):
-        return f"sum({format_rule(f.left)},{format_rule(f.right)})"
-    if isinstance(f, Neg):
-        return f"neg({format_rule(f.inner)})"
-    if isinstance(f, IntScale):
-        return f"scale({f.m},{format_rule(f.inner)})"
-    if isinstance(f, Compose):
-        return f"compose({format_rule(f.outer)},{format_rule(f.inner)})"
-    if isinstance(f, Invert):
-        return f"invert({format_rule(f.inner)},{f.witness_n})"
-    raise TypeError(f"unknown rule node {type(f).__name__}")
+    cls = type(f)
+    if cls not in _RULE_TAGS:
+        raise TypeError(f"unknown rule node {cls.__name__}")
+    args = (
+        (str if field.type == "int" else format_rule)(getattr(f, field.name))
+        for field in fields(cls)
+    )
+    return f"{_RULE_TAGS[cls]}({_separator(cls).join(args)})"
 
 
 class _RuleParser:
@@ -448,33 +459,15 @@ class _RuleParser:
     def rule(self) -> AlmostHom:
         tag = self.name()
         self.expect("(")
-        if tag == "linear":
-            p = self.integer()
-            self.expect("/")
-            q = self.integer()
-            node: AlmostHom = FloorLinear(p, q)
-        elif tag == "sqrt":
-            node = FloorSqrt(self.integer())
-        elif tag == "sum":
-            left = self.rule()
-            self.expect(",")
-            node = Sum(left, self.rule())
-        elif tag == "neg":
-            node = Neg(self.rule())
-        elif tag == "scale":
-            m = self.integer()
-            self.expect(",")
-            node = IntScale(m, self.rule())
-        elif tag == "compose":
-            outer = self.rule()
-            self.expect(",")
-            node = Compose(outer, self.rule())
-        elif tag == "invert":
-            inner = self.rule()
-            self.expect(",")
-            node = Invert(inner, self.integer())
-        else:
+        cls = _RULE_CLASSES.get(tag)
+        if cls is None:
             self.fail(f"unknown rule name {tag!r}")
+        args = []
+        for field in fields(cls):
+            if args:
+                self.expect(_separator(cls))
+            args.append(self.integer() if field.type == "int" else self.rule())
+        node = cls(*args)
         self.expect(")")
         return node
 

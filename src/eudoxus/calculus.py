@@ -52,32 +52,26 @@ def from_coeffs(coeffs) -> RatFunction:
     return RatFunction(tuple(coeffs), (1,))
 
 
-def _substitute(p: polyq.Coeffs, num: polyq.Coeffs, den: polyq.Coeffs) -> polyq.Coeffs:
-    """Numerator of p(num/den) over the common denominator den^deg(p)."""
-    d = polyq.degree(p)
-    if d < 0:
-        return ()
-    acc: polyq.Coeffs = ()
-    for k, c in enumerate(p):
-        if c:
-            term = polyq.scale(
-                polyq.mul(polyq.pow_(num, k), polyq.pow_(den, d - k)), c
-            )
-            acc = polyq.add(acc, term)
-    return acc
-
-
 def extend(f: RatFunction, x: RationalSlopeGerm) -> RationalSlopeGerm:
-    """Evaluate f at a germ argument by exact substitution."""
-    a = _substitute(f.num, x.num, x.den)
-    b = _substitute(f.den, x.num, x.den)
-    if not b:
+    """Evaluate f at a germ argument by exact substitution.
+
+    With D = max(deg f.num, deg f.den), both f.num and f.den are evaluated
+    as x.den^D * p(x.num/x.den) by homogeneous Horner; the factor x.den^D
+    cancels in the quotient.
+    """
+    d = max(polyq.degree(f.num), polyq.degree(f.den))
+    top: polyq.Coeffs = ()
+    bottom: polyq.Coeffs = ()
+    power: polyq.Coeffs = (1,)  # x.den^(d - k)
+    for k in range(d, -1, -1):
+        a = f.num[k] if k < len(f.num) else 0
+        b = f.den[k] if k < len(f.den) else 0
+        top = polyq.add(polyq.mul(top, x.num), polyq.scale(power, a))
+        bottom = polyq.add(polyq.mul(bottom, x.num), polyq.scale(power, b))
+        power = polyq.mul(power, x.den)
+    if not bottom:
         raise SubstitutionPole("denominator vanishes identically at the argument")
-    dn, dd = polyq.degree(f.num), polyq.degree(f.den)
-    # f(x) = (a / den^dn) / (b / den^dd) = a*den^dd / (b*den^dn)
-    num = polyq.mul(a, polyq.pow_(x.den, dd))
-    den = polyq.mul(b, polyq.pow_(x.den, dn))
-    return RationalSlopeGerm(num, den)
+    return RationalSlopeGerm(top, bottom)
 
 
 def derivative_at(f: RatFunction, x0) -> Fraction:

@@ -390,11 +390,12 @@ def cmd_lup_check(args, cfg: Config) -> int:
 
 
 # -- selftest -------------------------------------------------------------------
+#
+# Each suite yields one item per check: whether it passed, then the failure
+# messages to report if it did not.
 
 
 def _suite_kernel(rng: random.Random):
-    checks = 0
-    failures = []
     nodes = [
         FloorLinear(3, 7),
         FloorLinear(-22, 7),
@@ -409,30 +410,21 @@ def _suite_kernel(rng: random.Random):
     for _ in range(4):
         nodes.append(FloorLinear(rng.randint(-20, 20), rng.randint(1, 20)))
     for f in nodes:
-        checks += 1
-        if not verify_bound(f, 30).ok:
-            failures.append(f"certificate violated for {format_rule(f)}")
-        checks += 1
-        if parse_rule(format_rule(f)) != f:
-            failures.append(f"serialization round trip failed for {format_rule(f)}")
+        text = format_rule(f)
+        yield verify_bound(f, 30).ok, f"certificate violated for {text}"
+        yield parse_rule(text) == f, f"serialization round trip failed for {text}"
     lin = FloorLinear(3, 5)
     for p in range(-25, 26):
         for q in range(-25, 26):
-            checks += 1
-            if ahom.discrepancy(lin, p, q) not in (0, 1):
-                failures.append(f"floor-sum identity failed at ({p}, {q})")
+            yield ahom.discrepancy(lin, p, q) in (0, 1), (
+                f"floor-sum identity failed at ({p}, {q})"
+            )
     root = FloorSqrt(7)
     for a in range(-50, 51):
-        checks += 1
-        if root.eval(-a) != -root.eval(a):
-            failures.append(f"odd symmetry failed at {a}")
-    return checks, failures
+        yield root.eval(-a) == -root.eval(a), f"odd symmetry failed at {a}"
 
 
 def _suite_reals(rng: random.Random):
-    checks = 0
-    failures = []
-
     def sample() -> EudoxusReal:
         if rng.random() < 0.5:
             return reals.from_rational(rng.randint(-50, 50), rng.randint(1, 50))
@@ -440,15 +432,15 @@ def _suite_reals(rng: random.Random):
 
     for _ in range(15):
         x, y, z = sample(), sample(), sample()
-        checks += 3
-        if not x.add(y).add(z).equals_within(x.add(y.add(z)), 64):
-            failures.append("associativity of addition failed")
-        if not x.mul(y).equals_within(y.mul(x), 64):
-            failures.append("commutativity of multiplication failed")
+        yield x.add(y).add(z).equals_within(x.add(y.add(z)), 64), (
+            "associativity of addition failed"
+        )
+        yield x.mul(y).equals_within(y.mul(x), 64), (
+            "commutativity of multiplication failed"
+        )
         lhs = x.mul(y.add(z))
         rhs = x.mul(y).add(x.mul(z))
-        if not lhs.equals_within(rhs, 64):
-            failures.append("distributivity failed")
+        yield lhs.equals_within(rhs, 64), "distributivity failed"
     for _ in range(15):
         a = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
         b = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
@@ -456,38 +448,28 @@ def _suite_reals(rng: random.Random):
         fb = reals.from_rational(b.numerator, b.denominator)
         total = a + b
         prod = a * b
-        checks += 2
-        if not fa.add(fb).equals_within(
+        yield fa.add(fb).equals_within(
             reals.from_rational(total.numerator, total.denominator), 64
-        ):
-            failures.append("embedding does not preserve addition")
-        if not fa.mul(fb).equals_within(
+        ), "embedding does not preserve addition"
+        yield fa.mul(fb).equals_within(
             reals.from_rational(prod.numerator, prod.denominator), 64
-        ):
-            failures.append("embedding does not preserve multiplication")
-    checks += 1
+        ), "embedding does not preserve multiplication"
     two = reals.from_sqrt_int(2)
-    if not two.mul(two).equals_within(reals.from_rational(2, 1), 128):
-        failures.append("sqrt(2)^2 is not 2 within certified bounds")
-    checks += 1
-    if reals.from_rational(1, 4).to_decimal(3) != "0.250":
-        failures.append("decimal rendering of 1/4 failed")
+    yield two.mul(two).equals_within(reals.from_rational(2, 1), 128), (
+        "sqrt(2)^2 is not 2 within certified bounds"
+    )
+    yield reals.from_rational(1, 4).to_decimal(3) == "0.250", (
+        "decimal rendering of 1/4 failed"
+    )
     depth = 16
     for _ in range(10):
         p, q = rng.randint(-40, 40), rng.randint(1, 40)
         x = reals.from_rational(p, q)
-        checks += 1
-        if abs(x.slope_approx(depth) - Fraction(p, q)) > Fraction(
-            x.rep.bound, 2**depth
-        ):
-            failures.append("slope error bound violated")
-    return checks, failures
+        error = abs(x.slope_approx(depth) - Fraction(p, q))
+        yield error <= Fraction(x.rep.bound, 2**depth), "slope error bound violated"
 
 
 def _suite_indexsets(rng: random.Random):
-    checks = 0
-    failures = []
-
     def sample() -> indexset.IndexSet:
         pre = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
         per = "".join(rng.choice("01") for _ in range(rng.randint(1, 6)))
@@ -495,53 +477,43 @@ def _suite_indexsets(rng: random.Random):
 
     for _ in range(150):
         s, t = sample(), sample()
-        checks += 3
         lhs = indexset.complement(indexset.union(s, t))
         rhs = indexset.intersect(indexset.complement(s), indexset.complement(t))
-        if lhs != rhs:
-            failures.append("De Morgan law failed")
-        if indexset.complement(indexset.complement(s)) != s:
-            failures.append("double complement failed")
+        yield lhs == rhs, "De Morgan law failed"
+        yield indexset.complement(indexset.complement(s)) == s, (
+            "double complement failed"
+        )
         window = 4 * len(s.period) * len(t.period) + len(s.pre) + len(t.pre) + 8
         hit = indexset.intersect(s, t)
-        if any(hit.member(n) != (s.member(n) and t.member(n)) for n in range(window)):
-            failures.append("pointwise intersection mismatch")
-    checks += 1
-    if indexset.parse("pre:;per:10") != indexset.evens():
-        failures.append("parse of evens failed")
-    return checks, failures
+        yield all(
+            hit.member(n) == (s.member(n) and t.member(n)) for n in range(window)
+        ), "pointwise intersection mismatch"
+    yield indexset.parse("pre:;per:10") == indexset.evens(), "parse of evens failed"
 
 
 def _suite_ultrafilter(rng: random.Random):
-    checks = 0
-    failures = []
     state = ufsim.fresh_state()
     for _ in range(300):
         pre = "".join(rng.choice("01") for _ in range(rng.randint(0, 4)))
         per = "".join(rng.choice("01") for _ in range(rng.randint(1, 6)))
         s = indexset.IndexSet(pre, per)
         verdict, state = ufsim.query(state, s)
-        checks += 1
-        if not state.meet.is_infinite():
-            failures.append("meet became finite")
-        if s.is_cofinite() and verdict is not ufsim.Verdict.ACCEPTED:
-            failures.append("cofinite set rejected")
-        if s.is_finite() and verdict is not ufsim.Verdict.REJECTED:
-            failures.append("finite set accepted")
-    checks += 1
+        holds = {
+            "meet became finite": state.meet.is_infinite(),
+            "cofinite set rejected": not s.is_cofinite()
+            or verdict is ufsim.Verdict.ACCEPTED,
+            "finite set accepted": not s.is_finite()
+            or verdict is ufsim.Verdict.REJECTED,
+        }
+        yield all(holds.values()), *(m for m, ok in holds.items() if not ok)
     verdict, state = ufsim.query(state, indexset.singleton(17))
-    if verdict is not ufsim.Verdict.REJECTED:
-        failures.append("singleton accepted")
-    checks += 1
-    if ufsim.import_trace(ufsim.export_trace(state)) != state:
-        failures.append("trace round trip failed")
-    return checks, failures
+    yield verdict is ufsim.Verdict.REJECTED, "singleton accepted"
+    yield ufsim.import_trace(ufsim.export_trace(state)) == state, (
+        "trace round trip failed"
+    )
 
 
 def _suite_germs(rng: random.Random):
-    checks = 0
-    failures = []
-
     def sample() -> RationalSlopeGerm:
         num = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 4)))
         den = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 4)))
@@ -551,25 +523,17 @@ def _suite_germs(rng: random.Random):
 
     for _ in range(60):
         x, y, z = sample(), sample(), sample()
-        checks += 2
-        if (x + y) + z != x + (y + z):
-            failures.append("germ associativity failed")
-        if x * (y + z) != x * y + x * z:
-            failures.append("germ distributivity failed")
+        yield (x + y) + z == x + (y + z), "germ associativity failed"
+        yield x * (y + z) == x * y + x * z, "germ distributivity failed"
     d = hyper.dx()
-    checks += 3
-    if hyper.classify(d).kind is not hyper.HyperKind.POSITIVE_INFINITESIMAL:
-        failures.append("dx not classified as a positive infinitesimal")
-    if hyper.compare(d, d * d) is not hyper.Order.GREATER:
-        failures.append("dx vs dx^2 ordering failed")
-    if d * hyper.omega() != hyper.from_real(1):
-        failures.append("dx * omega is not 1")
-    return checks, failures
+    yield hyper.classify(d).kind is hyper.HyperKind.POSITIVE_INFINITESIMAL, (
+        "dx not classified as a positive infinitesimal"
+    )
+    yield hyper.compare(d, d * d) is hyper.Order.GREATER, "dx vs dx^2 ordering failed"
+    yield d * hyper.omega() == hyper.from_real(1), "dx * omega is not 1"
 
 
 def _suite_derivatives(rng: random.Random):
-    checks = 0
-    failures = []
     cases = [
         (calculus.from_coeffs((0, 0, 1)), Fraction(3), Fraction(6)),
         (calculus.from_coeffs((0, -2, 0, 1)), Fraction(2), Fraction(10)),
@@ -581,33 +545,25 @@ def _suite_derivatives(rng: random.Random):
         ),
     ]
     for fn, at, expected in cases:
-        checks += 1
-        if derivative_at(fn, at) != expected:
-            failures.append(f"derivative of {fn} at {at} incorrect")
+        yield derivative_at(fn, at) == expected, f"derivative of {fn} at {at} incorrect"
     for _ in range(10):
         coeffs_f = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
         coeffs_g = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
         f = calculus.from_coeffs(tuple(coeffs_f))
         g = calculus.from_coeffs(tuple(coeffs_g))
         at = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        checks += 1
         lhs = derivative_at(f * g, at)
         rhs = f(at) * derivative_at(g, at) + derivative_at(f, at) * g(at)
-        if lhs != rhs:
-            failures.append("product rule failed")
-    return checks, failures
+        yield lhs == rhs, "product rule failed"
 
 
 def _suite_admissibility(rng: random.Random):
-    checks = 0
-    failures = []
     half = Partition((indexset.evens(), indexset.odds()))
     spec = LimitFilterSpec((half,))
-    checks += 2
-    if not lup.is_admissible(hyper.from_real(7), spec):
-        failures.append("constant germ not admissible")
-    if lup.is_admissible(hyper.dx(), spec):
-        failures.append("dx admissible for a finite partition")
+    yield lup.is_admissible(hyper.from_real(7), spec), "constant germ not admissible"
+    yield not lup.is_admissible(hyper.dx(), spec), (
+        "dx admissible for a finite partition"
+    )
     values = [reals.from_sqrt_int(k) for k in (2, 3, 5)]
     elements = [
         hyper.piecewise(
@@ -615,33 +571,23 @@ def _suite_admissibility(rng: random.Random):
         )
         for _ in range(6)
     ]
-    report = lup.restricted_closure_check(elements, spec)
-    checks += 1
-    if not report.ok:
-        failures.append("closure check failed")
-    return checks, failures
+    yield lup.restricted_closure_check(elements, spec).ok, "closure check failed"
 
 
 def _suite_parser(rng: random.Random):
-    checks = 0
-    failures = []
     alphabet = "0123456789+-*/^()sqrtdxomegastclassify @#"
     for _ in range(200):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
-        checks += 1
         try:
             expr.parse(text)
+            ok, message = True, ""
         except ExprSyntaxError as exc:
-            if exc.offset > len(text):
-                failures.append("error offset past end of input")
+            ok, message = exc.offset <= len(text), "error offset past end of input"
         except Exception as exc:  # noqa: BLE001 - the point of the fuzz
-            failures.append(f"parser raised {type(exc).__name__} on {text!r}")
-    sample = "st((1 + dx)^2) * 3 - 22/7"
-    checks += 1
-    tree = expr.parse(sample)
-    if expr.parse(expr.format_ast(tree)) != tree:
-        failures.append("format/parse round trip failed")
-    return checks, failures
+            ok, message = False, f"parser raised {type(exc).__name__} on {text!r}"
+        yield ok, message
+    tree = expr.parse("st((1 + dx)^2) * 3 - 22/7")
+    yield expr.parse(expr.format_ast(tree)) == tree, "format/parse round trip failed"
 
 
 _SUITES = (
@@ -663,7 +609,9 @@ def cmd_selftest(args, cfg: Config) -> int:
     lines = []
     suites_json = []
     for name, suite in _SUITES:
-        checks, failures = suite(rng)
+        results = list(suite(rng))
+        checks = len(results)
+        failures = [m for ok, *messages in results if not ok for m in messages]
         total_checks += checks
         total_failures += len(failures)
         status = "PASS" if not failures else "FAIL"

@@ -185,7 +185,6 @@ class GeneralRescaling:
     """An index-to-real rule; each component carries its own certificate."""
 
     component_fn: Callable[[int], EudoxusReal]
-    description: str = ""
 
     def component(self, n: int) -> EudoxusReal:
         return self.component_fn(n)
@@ -200,7 +199,6 @@ class PiecewiseRescaling:
     """
 
     pieces: tuple[tuple[IndexSet, EudoxusReal], ...]
-    description: str = ""
 
     def __post_init__(self):
         indexset.check_partition(s for s, _ in self.pieces)
@@ -211,30 +209,28 @@ class PiecewiseRescaling:
                 return v
         raise AssertionError("pieces cover the index line")
 
-    def _combine(self, other: "PiecewiseRescaling", op, tag: str):
+    def _combine(self, other: "PiecewiseRescaling", op):
         out = []
         for s, v in self.pieces:
             for t, w in other.pieces:
                 cell = indexset.intersect(s, t)
                 if cell != indexset.empty():
                     out.append((cell, op(v, w)))
-        return PiecewiseRescaling(
-            tuple(out), f"({self.description} {tag} {other.description})"
-        )
+        return PiecewiseRescaling(tuple(out))
 
     def add(self, other: "PiecewiseRescaling") -> "PiecewiseRescaling":
-        return self._combine(other, lambda a, b: a.add(b), "+")
+        return self._combine(other, lambda a, b: a.add(b))
 
     def mul(self, other: "PiecewiseRescaling") -> "PiecewiseRescaling":
-        return self._combine(other, lambda a, b: a.mul(b), "*")
+        return self._combine(other, lambda a, b: a.mul(b))
 
 
-def constant_rescaling(x: EudoxusReal, description: str = "") -> PiecewiseRescaling:
-    return PiecewiseRescaling(((indexset.full(), x),), description)
+def constant_rescaling(x: EudoxusReal) -> PiecewiseRescaling:
+    return PiecewiseRescaling(((indexset.full(), x),))
 
 
-def piecewise(pairs, description: str = "") -> PiecewiseRescaling:
-    return PiecewiseRescaling(tuple(pairs), description)
+def piecewise(pairs) -> PiecewiseRescaling:
+    return PiecewiseRescaling(tuple(pairs))
 
 
 # -- equality modulo the simulated ultrafilter --------------------------------

@@ -55,6 +55,30 @@ def _random_poly(rng: random.Random, max_deg: int = 8) -> tuple:
     return tuple(coeffs)
 
 
+def test_extend_agrees_with_pointwise_evaluation():
+    # extend(f, x) is the germ whose value at index i is f(x(i)); this holds
+    # at every index where x and f(x(i)) are defined, the zero function too.
+    rng = random.Random(319)
+    for trial in range(200):
+        if trial % 10 == 0:
+            f = constant(0)
+        else:
+            f = RatFunction(_random_poly(rng, 16), _random_poly(rng, 16))
+        num = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+        den = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [rng.randint(1, 9)]
+        x = hyper.germ(num, den)
+        try:
+            fx = extend(f, x)
+        except SubstitutionPole:
+            fx = None
+        for i in range(25):
+            try:
+                expected = f(x(i))
+            except (hyper.PoleAtIndex, SubstitutionPole):
+                continue
+            assert fx is not None and fx(i) == expected, (f, x, i)
+
+
 def test_derivative_matches_symbolic_oracle_exactly():
     rng = random.Random(314)
     for _ in range(60):

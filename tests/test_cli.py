@@ -204,6 +204,44 @@ def test_selftest_passes(capsys):
     assert "0 failures" in lines[-1]
 
 
+_SELFTEST_SUITES = [
+    ("kernel-certificates", 2728),
+    ("real-field", 87),
+    ("index-sets", 451),
+    ("ultrafilter", 302),
+    ("germ-field", 123),
+    ("derivatives", 14),
+    ("admissibility", 3),
+    ("parser", 201),
+]
+
+
+def test_selftest_output_is_pinned(capsys):
+    code, out, _ = run_cli(["selftest"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        *(f"{name}: PASS ({checks} checks)" for name, checks in _SELFTEST_SUITES),
+        "selftest: 8 suites, 3909 checks, 0 failures",
+    ]
+    code, out, _ = run_cli(["selftest", "--json"], capsys)
+    assert code == 0
+    envelope = json.loads(out)
+    assert envelope["result"] == {
+        "suites": [
+            {"name": name, "status": "PASS", "checks": checks, "failures": []}
+            for name, checks in _SELFTEST_SUITES
+        ],
+        "checks": 3909,
+        "failures": 0,
+    }
+
+
+@pytest.mark.parametrize("body", ["x-x", "0*x"])
+def test_derive_of_the_zero_function_is_zero(body, capsys):
+    code, out, err = run_cli(["derive", body, "--at", "1"], capsys)
+    assert (code, out, err) == (0, "0\n0.0000000000\n", "")
+
+
 @pytest.mark.parametrize("body", ["x/0", "1/(x-x)"])
 def test_derive_zero_divisor_exits_3(body, capsys):
     code, out, err = run_cli(["derive", body, "--at", "1"], capsys)

@@ -222,7 +222,7 @@ def test_piecewise_requires_disjoint_cover():
 
 
 def test_eq_mod_filter_identical_rules():
-    x = constant_rescaling(from_sqrt_int(2), "sqrt2")
+    x = constant_rescaling(from_sqrt_int(2))
     verdict, state = eq_mod_filter(x, x, ufsim.fresh_state())
     assert isinstance(verdict, CertifiedEqual)
     assert verdict.agreement == indexset.full()
@@ -234,9 +234,8 @@ def test_eq_mod_filter_piecewise_agreement_on_evens():
             (indexset.evens(), from_sqrt_int(2)),
             (indexset.odds(), from_rational(0, 1)),
         ),
-        "sqrt2-on-evens",
     )
-    y = constant_rescaling(from_sqrt_int(2), "sqrt2")
+    y = constant_rescaling(from_sqrt_int(2))
 
     # With evens already accepted the verdict is certified equality.
     _, state = ufsim.query(ufsim.fresh_state(), indexset.evens())

@@ -150,8 +150,6 @@ def test_undecidable_reported_not_guessed():
 
 
 def test_opaque_rescaling_on_infinite_class_is_undecidable():
-    opaque = hyper.GeneralRescaling(
-        lambda n: from_rational(1, n + 1), "one-over-succ"
-    )
+    opaque = hyper.GeneralRescaling(lambda n: from_rational(1, n + 1))
     with pytest.raises(UndecidableWithinBudget):
         eq_relation_contains(opaque, _halves())
