@@ -23,7 +23,7 @@ import re
 import shutil
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import ahom, calculus, expr, hyper, indexset, lup, reals, ufsim
@@ -40,7 +40,7 @@ from .ahom import (
     parse_rule,
     verify_bound,
 )
-from .calculus import SubstitutionPole, derivative_at
+from .calculus import derivative_at
 from .expr import (
     Context,
     ExprSyntaxError,
@@ -48,12 +48,7 @@ from .expr import (
     SortError,
     typecheck,
 )
-from .hyper import (
-    DivisionByZeroGerm,
-    InfiniteElement,
-    PoleAtIndex,
-    RationalSlopeGerm,
-)
+from .hyper import InfiniteElement, PoleAtIndex, RationalSlopeGerm
 from .indexset import IndexSetSyntaxError
 from .lup import LimitFilterSpec, Partition, PartitionError, UndecidableWithinBudget
 from .reals import EudoxusReal, UndecidedSign, decimal_of_fraction
@@ -76,20 +71,12 @@ class Config:
     state_path: str = "ultra.trace"
 
 
-_INT_KEYS = ("budget", "default_precision")
-_CONFIG_KEYS = _INT_KEYS + ("state_path",)
-
-
-def load_config(path: str | None, env=None) -> Config:
+def load_config(path: str | None) -> Config:
     """Config file `key = value` with `#` comments; env vars override the
-    file; command-line flags override both (applied by the handlers)."""
+    file; command-line flags override both (applied by `main`)."""
     cfg = Config()
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from None
+        text = _read_text(path, "config file")
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -98,19 +85,17 @@ def load_config(path: str | None, env=None) -> Config:
                 raise ConfigError(f"line {line_no}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             _set_config_key(cfg, key, value, f"line {line_no}")
-    if env is None:
-        env = os.environ
-    for key in _CONFIG_KEYS:
-        var = "EUDOXUS_" + key.upper()
-        if var in env:
-            _set_config_key(cfg, key, env[var], var)
+    for field in fields(Config):
+        var = "EUDOXUS_" + field.name.upper()
+        if var in os.environ:
+            _set_config_key(cfg, field.name, os.environ[var], var)
     return cfg
 
 
 def _set_config_key(cfg: Config, key: str, value: str, where: str) -> None:
-    if key not in _CONFIG_KEYS:
+    if key not in (field.name for field in fields(Config)):
         raise ConfigError(f"{where}: unknown key {key!r}")
-    if key in _INT_KEYS:
+    if isinstance(getattr(cfg, key), int):
         try:
             number = int(value)
         except ValueError:
@@ -120,6 +105,14 @@ def _set_config_key(cfg: Config, key: str, value: str, where: str) -> None:
         setattr(cfg, key, number)
     else:
         setattr(cfg, key, value)
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
 
 
 # -- expression evaluation ----------------------------------------------------
@@ -146,6 +139,16 @@ def _real_power(base, k: int):
 
 
 def _real_ops(budget: int) -> dict:
+    def quotient(node, right, left):
+        try:
+            return left.mul(right.recip(budget))
+        except UndecidedSign:
+            # Asked only after a failed scan, so a division that succeeds
+            # pays nothing for it.
+            if _is_exact_zero(node.right):
+                raise ZeroDivisionError("division by zero") from None
+            raise
+
     return {
         expr.IntLit: lambda n: reals.from_rational(n.value, 1),
         expr.RatLit: lambda n: reals.from_rational(
@@ -156,7 +159,7 @@ def _real_ops(budget: int) -> dict:
         expr.Sub: lambda n, a, b: a.sub(b),
         expr.Mul: lambda n, a, b: a.mul(b),
         # Children arrive in _REAL_ORDER: the divisor first.
-        expr.Div: lambda n, right, left: left.mul(right.recip(budget)),
+        expr.Div: quotient,
         expr.Pow: lambda n, base: _real_power(base, n.exponent),
         expr.St: lambda n, x: x,  # st is the identity on embedded reals
     }
@@ -192,48 +195,33 @@ _RATFN_OPS = {
     expr.Pow: lambda n, f: f**n.exponent,
 }
 
+# A real expression without sqrt( is a rational constant.
+_EXACT_OPS = {**_RATFN_OPS, expr.St: lambda n, x: x}
 
-# -- output -------------------------------------------------------------------
 
-
-def _emit(args, command: str, result, lines, budget_used: int) -> None:
-    if getattr(args, "json", False):
-        envelope = {
-            "command": command,
-            "result": result,
-            "diagnostics": [],
-            "budget_used": budget_used,
-        }
-        print(json.dumps(envelope, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+def _is_exact_zero(node) -> bool:
+    try:
+        return expr.fold(node, _EXACT_OPS).is_zero()
+    except SortError:  # sqrt(k) has no value in this table
+        return False
 
 
 # -- command handlers ----------------------------------------------------------
+#
+# Each handler returns (result, text lines, budget used); `main` prints them.
 
 
-def cmd_digits(args, cfg: Config) -> int:
-    precision = args.precision if args.precision is not None else cfg.default_precision
-    if precision < 1:
-        raise ConfigError("precision must be positive")
-    budget = args.budget if args.budget is not None else cfg.budget
+def cmd_digits(args, cfg: Config):
+    precision = cfg.default_precision
     tree = expr.parse(args.expr)
     typecheck(tree, Context.REAL)
-    value = expr.fold(tree, _real_ops(budget), _REAL_ORDER)
+    value = expr.fold(tree, _real_ops(cfg.budget), _REAL_ORDER)
     rendered = value.to_decimal(precision)
     index_used = 2 * value.rep.bound * 10 ** (precision + 2)
-    _emit(
-        args,
-        "digits",
-        {"value": rendered, "precision": precision},
-        [rendered],
-        index_used,
-    )
-    return EXIT_OK
+    return {"value": rendered, "precision": precision}, [rendered], index_used
 
 
-def cmd_hyper_eval(args, cfg: Config) -> int:
+def cmd_hyper_eval(args, cfg: Config):
     tree = expr.parse(args.expr)
     typecheck(tree, Context.HYPER)
     value = expr.fold(tree, _GERM_OPS)
@@ -247,55 +235,41 @@ def cmd_hyper_eval(args, cfg: Config) -> int:
     germ_text = hyper.format_germ(value)
     lines.append(f"leading: {leading}")
     lines.append(f"germ: {germ_text}")
-    _emit(
-        args,
-        "hyper eval",
-        {
-            "class": cls.kind.value,
-            "st": st_text,
-            "leading": leading,
-            "germ": germ_text,
-        },
-        lines,
-        0,
-    )
-    return EXIT_OK
+    result = {
+        "class": cls.kind.value,
+        "st": st_text,
+        "leading": leading,
+        "germ": germ_text,
+    }
+    return result, lines, 0
 
 
-def cmd_derive(args, cfg: Config) -> int:
+def cmd_derive(args, cfg: Config):
     tree = expr.parse(args.poly)
     sort = typecheck(tree, Context.DERIVE)
     if sort is not Sort.POLY:
         raise SortError("derivative body must mention the variable sort")
     fn = expr.fold(tree, _RATFN_OPS)
-    result = derivative_at(fn, args.at)
-    exact = str(result)
-    decimal = decimal_of_fraction(result, cfg.default_precision)
-    _emit(
-        args,
-        "derive",
-        {"exact": exact, "decimal": decimal, "at": str(Fraction(args.at))},
-        [exact, decimal],
-        0,
-    )
-    return EXIT_OK
-
-
-def _state_path(args, cfg: Config) -> str:
-    return args.state if args.state is not None else cfg.state_path
+    slope = derivative_at(fn, args.at)
+    exact = str(slope)
+    decimal = decimal_of_fraction(slope, cfg.default_precision)
+    result = {"exact": exact, "decimal": decimal, "at": str(args.at)}
+    return result, [exact, decimal], 0
 
 
 def _load_state(path: str) -> ufsim.FilterState:
     if not os.path.exists(path):
         return ufsim.fresh_state()
-    with open(path, "r", encoding="utf-8") as fh:
-        return ufsim.import_trace(fh.read())
+    return ufsim.import_trace(_read_text(path, "state file"))
 
 
 @contextmanager
 def _locked(path: str):
-    lock_path = path + ".lock"
-    with open(lock_path, "w") as fh:
+    try:
+        fh = open(path + ".lock", "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot lock state file: {exc}") from None
+    with fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         try:
             yield
@@ -326,44 +300,28 @@ def _replace_file(path: str, text: str) -> None:
         raise
 
 
-def cmd_ultra_query(args, cfg: Config) -> int:
+def cmd_ultra_query(args, cfg: Config):
     s = indexset.parse(args.setspec)
     # One lock per real file, and the rename lands on a symlink's target.
-    path = os.path.realpath(_state_path(args, cfg))
+    path = os.path.realpath(cfg.state_path)
     with _locked(path):
         state = _load_state(path)
         verdict, state = ufsim.query(state, s)
         _replace_file(path, ufsim.export_trace(state))
-    _emit(
-        args,
-        "ultra query",
-        {"verdict": verdict.value, "set": indexset.format_set(s)},
-        [verdict.value],
-        0,
-    )
-    return EXIT_OK
+    result = {"verdict": verdict.value, "set": indexset.format_set(s)}
+    return result, [verdict.value], 0
 
 
-def cmd_ultra_contains(args, cfg: Config) -> int:
+def cmd_ultra_contains(args, cfg: Config):
     s = indexset.parse(args.setspec)
-    state = _load_state(_state_path(args, cfg))
-    answer = ufsim.contains(state, s)
-    _emit(
-        args,
-        "ultra contains",
-        {"containment": answer.value, "set": indexset.format_set(s)},
-        [answer.value],
-        0,
-    )
-    return EXIT_OK
+    answer = ufsim.contains(_load_state(cfg.state_path), s)
+    result = {"containment": answer.value, "set": indexset.format_set(s)}
+    return result, [answer.value], 0
 
 
-def cmd_ultra_trace(args, cfg: Config) -> int:
-    state = _load_state(_state_path(args, cfg))
-    text = ufsim.export_trace(state)
-    lines = text.splitlines()
-    _emit(args, "ultra trace", {"entries": lines}, lines, 0)
-    return EXIT_OK
+def cmd_ultra_trace(args, cfg: Config):
+    lines = ufsim.export_trace(_load_state(cfg.state_path)).splitlines()
+    return {"entries": lines}, lines, 0
 
 
 def _parse_partition(spec: str) -> Partition:
@@ -372,21 +330,15 @@ def _parse_partition(spec: str) -> Partition:
     return Partition(classes)
 
 
-def cmd_lup_check(args, cfg: Config) -> int:
+def cmd_lup_check(args, cfg: Config):
     tree = expr.parse(args.expr)
     typecheck(tree, Context.HYPER)
     value = expr.fold(tree, _GERM_OPS)
     partition = _parse_partition(args.partition)
     admissible = lup.is_admissible(value, LimitFilterSpec((partition,)))
     text = "admissible" if admissible else "not admissible"
-    _emit(
-        args,
-        "lup check",
-        {"admissible": admissible, "classes": len(partition.classes)},
-        [text],
-        0,
-    )
-    return EXIT_OK
+    result = {"admissible": admissible, "classes": len(partition.classes)}
+    return result, [text], 0
 
 
 # -- selftest -------------------------------------------------------------------
@@ -602,7 +554,7 @@ _SUITES = (
 )
 
 
-def cmd_selftest(args, cfg: Config) -> int:
+def cmd_selftest(args, cfg: Config):
     rng = random.Random(20250801)
     total_checks = 0
     total_failures = 0
@@ -625,18 +577,8 @@ def cmd_selftest(args, cfg: Config) -> int:
         f"selftest: {len(_SUITES)} suites, {total_checks} checks, "
         f"{total_failures} failures"
     )
-    _emit(
-        args,
-        "selftest",
-        {
-            "suites": suites_json,
-            "checks": total_checks,
-            "failures": total_failures,
-        },
-        lines,
-        0,
-    )
-    return EXIT_OK if total_failures == 0 else EXIT_USAGE
+    result = {"suites": suites_json, "checks": total_checks, "failures": total_failures}
+    return result, lines, 0
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -647,6 +589,33 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # argparse would let 1/0 escape
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
+# Words -> (top-level help, arguments). The handler of `ultra query` is
+# `cmd_ultra_query`, and the words are its `--json` command label.
+_COMMANDS = {
+    "digits": ("decimal rendering", {"expr": {}, "-p --precision": {"type": int}}),
+    "hyper eval": ("hyperreal germ queries", {"expr": {}}),
+    "derive": (
+        "exact derivative",
+        {"poly": {}, "--at": {"type": _fraction, "required": True}},
+    ),
+    "ultra query": ("ultrafilter sessions", {"setspec": {}}),
+    "ultra contains": ("ultrafilter sessions", {"setspec": {}}),
+    "ultra trace": ("ultrafilter sessions", {}),
+    "lup check": (
+        "limit-filter admissibility",
+        {"expr": {}, "--partition": {"required": True}},
+    ),
+    "selftest": ("invariant suites", {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -661,44 +630,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact real and infinitesimal arithmetic from integer maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_digits = sub.add_parser("digits", parents=[common], help="decimal rendering")
-    p_digits.add_argument("expr")
-    p_digits.add_argument("-p", "--precision", type=int, default=None)
-    p_digits.set_defaults(func=cmd_digits)
-
-    p_hyper = sub.add_parser("hyper", help="hyperreal germ queries")
-    hyper_sub = p_hyper.add_subparsers(dest="hyper_command", required=True)
-    p_hyper_eval = hyper_sub.add_parser("eval", parents=[common])
-    p_hyper_eval.add_argument("expr")
-    p_hyper_eval.set_defaults(func=cmd_hyper_eval)
-
-    p_derive = sub.add_parser("derive", parents=[common], help="exact derivative")
-    p_derive.add_argument("poly")
-    p_derive.add_argument("--at", type=Fraction, required=True)
-    p_derive.set_defaults(func=cmd_derive)
-
-    p_ultra = sub.add_parser("ultra", help="ultrafilter sessions")
-    ultra_sub = p_ultra.add_subparsers(dest="ultra_command", required=True)
-    p_query = ultra_sub.add_parser("query", parents=[common])
-    p_query.add_argument("setspec")
-    p_query.set_defaults(func=cmd_ultra_query)
-    p_contains = ultra_sub.add_parser("contains", parents=[common])
-    p_contains.add_argument("setspec")
-    p_contains.set_defaults(func=cmd_ultra_contains)
-    p_trace = ultra_sub.add_parser("trace", parents=[common])
-    p_trace.set_defaults(func=cmd_ultra_trace)
-
-    p_lup = sub.add_parser("lup", help="limit-filter admissibility")
-    lup_sub = p_lup.add_subparsers(dest="lup_command", required=True)
-    p_check = lup_sub.add_parser("check", parents=[common])
-    p_check.add_argument("expr")
-    p_check.add_argument("--partition", required=True)
-    p_check.set_defaults(func=cmd_lup_check)
-
-    p_selftest = sub.add_parser("selftest", parents=[common], help="invariant suites")
-    p_selftest.set_defaults(func=cmd_selftest)
-
+    groups = {}
+    for words, (help_text, arguments) in _COMMANDS.items():
+        first, *rest = words.split()
+        if not rest:
+            leaf = sub.add_parser(first, parents=[common], help=help_text)
+        else:
+            if first not in groups:
+                group = sub.add_parser(first, help=help_text)
+                groups[first] = group.add_subparsers(
+                    dest=f"{first}_command", required=True
+                )
+            leaf = groups[first].add_parser(rest[0], parents=[common])
+        for names, options in arguments.items():
+            leaf.add_argument(*names.split(), **options)
+        leaf.set_defaults(words=words)
     return parser
 
 
@@ -709,12 +655,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        cfg = load_config(getattr(args, "config", None))
-        if getattr(args, "budget", None) is not None:
-            if args.budget < 1:
-                raise ConfigError("budget must be positive")
-            cfg.budget = args.budget
-        return args.func(args, cfg)
+        cfg = load_config(args.config)
+        for flag, key in (
+            ("budget", "budget"),
+            ("precision", "default_precision"),
+            ("state", "state_path"),
+        ):
+            value = getattr(args, flag, None)
+            if isinstance(value, int) and value < 1:
+                raise ConfigError(f"{flag} must be positive")
+            if value is not None:
+                setattr(cfg, key, value)
+        handler = globals()["cmd_" + args.words.replace(" ", "_")]
+        result, lines, budget_used = handler(args, cfg)
     except (
         ExprSyntaxError,
         IndexSetSyntaxError,
@@ -729,16 +682,28 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (
         SortError,
-        DivisionByZeroGerm,
+        ZeroDivisionError,
         PoleAtIndex,
         InfiniteElement,
-        SubstitutionPole,
         TraceError,
         UndecidableWithinBudget,
         CertificateError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    if args.json:
+        envelope = {
+            "command": args.words,
+            "result": result,
+            "diagnostics": [],
+            "budget_used": budget_used,
+        }
+        print(json.dumps(envelope, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    # A selftest with failures exits as a usage error does.
+    return EXIT_USAGE if result.get("failures") else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import os
+import re
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,12 @@ def test_digits_budget_exhaustion_exits_2(capsys):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("text", ["1/0", "1/(2-2)", "sqrt(2)/(3-3)"])
+def test_digits_exact_zero_divisor_exits_3(text, capsys):
+    code, out, err = run_cli(["digits", text], capsys)
+    assert (code, out, err) == (3, "", "error: division by zero\n")
+
+
 def test_parse_error_exits_1(capsys):
     code, _, err = run_cli(["digits", "1++2"], capsys)
     assert code == 1 and "offset 2" in err
@@ -46,6 +54,231 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(["mystery"], capsys)[0] == 1
     assert run_cli(["derive", "x^2"], capsys)[0] == 1  # missing --at
     assert run_cli(["digits", "1", "-p", "x"], capsys)[0] == 1
+
+
+# `--help` goes to stdout with exit 0, a usage error to stderr with exit 1.
+_HELP_AND_USAGE_ERRORS = {
+    "": """\
+usage: eudoxus [-h] {digits,hyper,derive,ultra,lup,selftest} ...
+eudoxus: error: the following arguments are required: command
+""",
+    "--help": """\
+usage: eudoxus [-h] {digits,hyper,derive,ultra,lup,selftest} ...
+
+Exact real and infinitesimal arithmetic from integer maps.
+
+positional arguments:
+  {digits,hyper,derive,ultra,lup,selftest}
+    digits              decimal rendering
+    hyper               hyperreal germ queries
+    derive              exact derivative
+    ultra               ultrafilter sessions
+    lup                 limit-filter admissibility
+    selftest            invariant suites
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "mystery": """\
+usage: eudoxus [-h] {digits,hyper,derive,ultra,lup,selftest} ...
+eudoxus: error: argument command: invalid choice: 'mystery' (choose from 'digits', 'hyper', 'derive', 'ultra', 'lup', 'selftest')
+""",
+    "digits --help": """\
+usage: eudoxus digits [-h] [--json] [--config FILE] [--budget BUDGET]
+                      [--state FILE] [-p PRECISION]
+                      expr
+
+positional arguments:
+  expr
+
+options:
+  -h, --help            show this help message and exit
+  --json                structured output
+  --config FILE         configuration file
+  --budget BUDGET       sign-decision budget
+  --state FILE          ultrafilter state file
+  -p PRECISION, --precision PRECISION
+""",
+    "hyper --help": """\
+usage: eudoxus hyper [-h] {eval} ...
+
+positional arguments:
+  {eval}
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "hyper eval --help": """\
+usage: eudoxus hyper eval [-h] [--json] [--config FILE] [--budget BUDGET]
+                          [--state FILE]
+                          expr
+
+positional arguments:
+  expr
+
+options:
+  -h, --help       show this help message and exit
+  --json           structured output
+  --config FILE    configuration file
+  --budget BUDGET  sign-decision budget
+  --state FILE     ultrafilter state file
+""",
+    "derive --help": """\
+usage: eudoxus derive [-h] [--json] [--config FILE] [--budget BUDGET]
+                      [--state FILE] --at AT
+                      poly
+
+positional arguments:
+  poly
+
+options:
+  -h, --help       show this help message and exit
+  --json           structured output
+  --config FILE    configuration file
+  --budget BUDGET  sign-decision budget
+  --state FILE     ultrafilter state file
+  --at AT
+""",
+    "ultra --help": """\
+usage: eudoxus ultra [-h] {query,contains,trace} ...
+
+positional arguments:
+  {query,contains,trace}
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "ultra query --help": """\
+usage: eudoxus ultra query [-h] [--json] [--config FILE] [--budget BUDGET]
+                           [--state FILE]
+                           setspec
+
+positional arguments:
+  setspec
+
+options:
+  -h, --help       show this help message and exit
+  --json           structured output
+  --config FILE    configuration file
+  --budget BUDGET  sign-decision budget
+  --state FILE     ultrafilter state file
+""",
+    "ultra contains --help": """\
+usage: eudoxus ultra contains [-h] [--json] [--config FILE] [--budget BUDGET]
+                              [--state FILE]
+                              setspec
+
+positional arguments:
+  setspec
+
+options:
+  -h, --help       show this help message and exit
+  --json           structured output
+  --config FILE    configuration file
+  --budget BUDGET  sign-decision budget
+  --state FILE     ultrafilter state file
+""",
+    "ultra trace --help": """\
+usage: eudoxus ultra trace [-h] [--json] [--config FILE] [--budget BUDGET]
+                           [--state FILE]
+
+options:
+  -h, --help       show this help message and exit
+  --json           structured output
+  --config FILE    configuration file
+  --budget BUDGET  sign-decision budget
+  --state FILE     ultrafilter state file
+""",
+    "lup --help": """\
+usage: eudoxus lup [-h] {check} ...
+
+positional arguments:
+  {check}
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "lup check --help": """\
+usage: eudoxus lup check [-h] [--json] [--config FILE] [--budget BUDGET]
+                         [--state FILE] --partition PARTITION
+                         expr
+
+positional arguments:
+  expr
+
+options:
+  -h, --help            show this help message and exit
+  --json                structured output
+  --config FILE         configuration file
+  --budget BUDGET       sign-decision budget
+  --state FILE          ultrafilter state file
+  --partition PARTITION
+""",
+    "selftest --help": """\
+usage: eudoxus selftest [-h] [--json] [--config FILE] [--budget BUDGET]
+                        [--state FILE]
+
+options:
+  -h, --help       show this help message and exit
+  --json           structured output
+  --config FILE    configuration file
+  --budget BUDGET  sign-decision budget
+  --state FILE     ultrafilter state file
+""",
+    "derive x^2": """\
+usage: eudoxus derive [-h] [--json] [--config FILE] [--budget BUDGET]
+                      [--state FILE] --at AT
+                      poly
+eudoxus derive: error: the following arguments are required: --at
+""",
+    "lup check dx": """\
+usage: eudoxus lup check [-h] [--json] [--config FILE] [--budget BUDGET]
+                         [--state FILE] --partition PARTITION
+                         expr
+eudoxus lup check: error: the following arguments are required: --partition
+""",
+    "digits 1 -p x": """\
+usage: eudoxus digits [-h] [--json] [--config FILE] [--budget BUDGET]
+                      [--state FILE] [-p PRECISION]
+                      expr
+eudoxus digits: error: argument -p/--precision: invalid int value: 'x'
+""",
+    "hyper nope": """\
+usage: eudoxus hyper [-h] {eval} ...
+eudoxus hyper: error: argument hyper_command: invalid choice: 'nope' (choose from 'eval')
+""",
+}
+
+
+def _as_python_3_11(text: str) -> str:
+    """Spell as Python 3.11 does the two things newer argparse versions
+    render differently: a short option's metavar and the choices list."""
+    text = text.replace(
+        "-p, --precision PRECISION", "-p PRECISION, --precision PRECISION"
+    )
+    return re.sub(
+        r"\(choose from ([^)']*)\)",
+        lambda m: "(choose from '" + m[1].replace(", ", "', '") + "')",
+        text,
+    )
+
+
+@pytest.mark.parametrize("line", list(_HELP_AND_USAGE_ERRORS))
+def test_help_and_usage_errors_are_pinned(line, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(line.split(), capsys)
+    text = _HELP_AND_USAGE_ERRORS[line]
+    expected = (0, text, "") if "--help" in line else (1, "", text)
+    assert (code, _as_python_3_11(out), _as_python_3_11(err)) == expected
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "1/0"])
+def test_derive_rejects_a_bad_point_as_usage(value, capsys):
+    code, out, err = run_cli(["derive", "x^2", "--at", value], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == (
+        f"eudoxus derive: error: argument --at: invalid Fraction value: '{value}'"
+    )
 
 
 def test_hyper_eval_examples(capsys):
@@ -104,10 +337,10 @@ def test_ultra_session(tmp_path, capsys):
 def test_ultra_query_idempotent_on_disk(tmp_path, capsys):
     state = str(tmp_path / "ultra.trace")
     run_cli(["ultra", "query", "pre:;per:10", "--state", state], capsys)
-    first = open(state, encoding="utf-8").read()
+    first = Path(state).read_text(encoding="utf-8")
     code, out, _ = run_cli(["ultra", "query", "pre:;per:10", "--state", state], capsys)
     assert code == 0 and out == "Accepted\n"
-    assert open(state, encoding="utf-8").read() == first
+    assert Path(state).read_text(encoding="utf-8") == first
 
 
 def test_ultra_bad_spec_exits_1(capsys):
@@ -155,6 +388,35 @@ def test_json_envelope_is_schema_stable(tmp_path, capsys):
         assert isinstance(payload["diagnostics"], list)
 
 
+def test_json_command_label_is_the_command_words(tmp_path, capsys):
+    state = str(tmp_path / "ultra.trace")
+    invocations = [
+        ["digits", "1"],
+        ["hyper", "eval", "dx"],
+        ["derive", "x", "--at", "1"],
+        ["ultra", "query", "pre:;per:10", "--state", state],
+        ["ultra", "contains", "pre:;per:10", "--state", state],
+        ["ultra", "trace", "--state", state],
+        ["lup", "check", "1", "--partition", "pre:;per:1"],
+        ["selftest"],
+    ]
+    labels = []
+    for argv in invocations:
+        code, out, _ = run_cli(argv + ["--json"], capsys)
+        assert code == 0, argv
+        labels.append(json.loads(out)["command"])
+    assert labels == [
+        "digits",
+        "hyper eval",
+        "derive",
+        "ultra query",
+        "ultra contains",
+        "ultra trace",
+        "lup check",
+        "selftest",
+    ]
+
+
 def test_output_is_deterministic(tmp_path, capsys):
     argv = ["digits", "sqrt(2)*22/7 - 1/3", "-p", "12", "--json"]
     first = run_cli(argv, capsys)
@@ -194,6 +456,40 @@ def test_config_state_path_used_by_ultra(tmp_path, capsys):
     )
     assert code == 0 and out == "Accepted\n"
     assert state.exists()
+
+
+_STATE_COMMANDS = {
+    "query": ["ultra", "query", "pre:;per:1"],
+    "contains": ["ultra", "contains", "pre:;per:1"],
+    "trace": ["ultra", "trace"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [("query", "in-missing-directory")]
+    + [(c, kind) for c in _STATE_COMMANDS for kind in ("directory", "not-utf8")],
+)
+def test_unusable_state_file_exits_1(command, kind, tmp_path, capsys):
+    state = tmp_path / "ultra.trace"
+    if kind == "in-missing-directory":
+        state = tmp_path / "absent" / "ultra.trace"
+    elif kind == "directory":
+        state.mkdir()
+    else:
+        state.write_bytes(b"Accepted pre:;per:1\xff\n")
+    code, out, err = run_cli(_STATE_COMMANDS[command] + ["--state", str(state)], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot ")
+
+
+def test_config_file_not_utf8_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "eudoxus.conf"
+    cfg.write_bytes(b"budget = 5 # \xff\n")
+    code, out, err = run_cli(["digits", "1", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read config file: 'utf-8' codec")
+    assert len(err.splitlines()) == 1
 
 
 def test_selftest_passes(capsys):
