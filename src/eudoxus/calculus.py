@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import hyper, polyq
-from .hyper import HyperKind, RationalSlopeGerm, classify, dx, from_real, standard_part
+from .hyper import RationalSlopeGerm, dx, from_real, leading_term, standard_part
 
 
 class SubstitutionPole(ZeroDivisionError):
@@ -88,10 +88,7 @@ def derivative_at(f: RatFunction, x0) -> Fraction:
 
 
 def adequal(x: RationalSlopeGerm, y: RationalSlopeGerm) -> bool:
-    """True when x - y is zero or infinitesimal."""
-    kind = classify(hyper.sub(x, y)).kind
-    return kind in (
-        HyperKind.ZERO,
-        HyperKind.POSITIVE_INFINITESIMAL,
-        HyperKind.NEGATIVE_INFINITESIMAL,
-    )
+    """True when x - y is zero or infinitesimal: a zero leading coefficient
+    or a negative degree gap in `leading_term`."""
+    lead, gap = leading_term(hyper.sub(x, y))
+    return lead == 0 or gap < 0

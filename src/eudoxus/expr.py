@@ -53,7 +53,6 @@ class VarOutsideDerive(SortError):
 
 # -- tokens -------------------------------------------------------------------
 
-_KEYWORDS = ("sqrt", "dx", "omega", "x", "st", "classify")
 _SYMBOLS = "+-*/^()"
 
 

@@ -116,10 +116,10 @@ class HyperClass:
 
 
 def classify(x: RationalSlopeGerm) -> HyperClass:
-    if x.is_zero():
+    """Zero, infinitesimal, appreciable or infinite, read off `leading_term`."""
+    lead, gap = leading_term(x)
+    if lead == 0:
         return HyperClass(HyperKind.ZERO, Fraction(0))
-    gap = polyq.degree(x.num) - polyq.degree(x.den)
-    lead = Fraction(polyq.leading(x.num), polyq.leading(x.den))
     if gap < 0:
         kind = (
             HyperKind.POSITIVE_INFINITESIMAL
@@ -252,25 +252,6 @@ class Empirical:
     window: int
 
 
-def _detect_pattern(agree: list[bool], window: int) -> Optional[IndexSet]:
-    limit = max(1, window // 3)
-    for d in range(1, limit + 1):
-        for p in range(0, limit + 1):
-            if p + 2 * d > window + 1:
-                break
-            ok = all(agree[n] == agree[p + (n - p) % d] for n in range(p, window + 1))
-            if ok:
-                # Bits must sit at absolute phase: period[j] is the agreement
-                # value at indices congruent to j past the preperiod.
-                per = [""] * d
-                for j in range(d):
-                    n = p + ((j - p) % d)
-                    per[j] = "1" if agree[n] else "0"
-                pre = "".join("1" if agree[n] else "0" for n in range(p))
-                return IndexSet(pre, "".join(per))
-    return None
-
-
 def eq_mod_filter(
     x,
     y,
@@ -283,8 +264,9 @@ def eq_mod_filter(
     Computes per-index equality verdicts for indices 0..window. When every
     verdict is exact (catalogue slope extraction or a certified window
     refutation) and the pattern is eventually periodic - matching a supplied
-    certificate or detected outright - the agreement set is routed through
-    the simulator for a Certified verdict. Anything else is reported as
+    certificate or found by `indexset.eventually_periodic` with period and
+    preperiod at most window // 3 - the agreement set is routed through the
+    simulator for a Certified verdict. Anything else is reported as
     Empirical, never guessed.
 
     Returns (verdict, updated filter state).
@@ -292,18 +274,19 @@ def eq_mod_filter(
     agree: list[bool] = []
     decisive = True
     for n in range(window + 1):
-        v = certified_equal(x.component(n), y.component(n))
+        a, b = x.component(n), y.component(n)
+        v = certified_equal(a, b)
         if v is None:
             decisive = False
-            v = x.component(n).equals_within(y.component(n), 32)
+            v = a.equals_within(b, 32)
         agree.append(v)
 
-    pattern = None
-    if certificate is not None:
-        if all(certificate.member(n) == agree[n] for n in range(window + 1)):
-            pattern = certificate
-    if pattern is None:
-        pattern = _detect_pattern(agree, window)
+    if certificate is not None and all(
+        certificate.member(n) == v for n, v in enumerate(agree)
+    ):
+        pattern = certificate
+    else:
+        pattern = indexset.eventually_periodic(agree, max(1, window // 3))
 
     if decisive and pattern is not None:
         verdict, state = ufsim.query(state, pattern)

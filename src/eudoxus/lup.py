@@ -4,10 +4,10 @@ A finite partition of the index line into eventually periodic classes
 induces an equivalence relation; a filter generated by finitely many such
 partitions admits exactly the elements whose components are constant on each
 class of the common refinement. That membership is decidable here because
-(a) a nonconstant rational slope function takes each value finitely often,
-so constancy on an infinite class forces a constant germ, and (b) piecewise
-rescalings expose which catalogue values meet which classes. Anything the
-certificates cannot settle is reported, never guessed.
+(a) a finite partition has an infinite class, and a nonconstant rational
+slope takes each value finitely often, so only constant germs are admitted,
+and (b) piecewise rescalings expose which catalogue values meet which
+classes. Anything the certificates cannot settle is reported, never guessed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import hyper, indexset
-from .hyper import PiecewiseRescaling, RationalSlopeGerm, phi_component
+from .hyper import PiecewiseRescaling, RationalSlopeGerm
 from .indexset import IndexSet, PartitionError
 from .reals import certified_equal
 
@@ -69,20 +69,12 @@ def _values_on_class(x, cls: IndexSet):
 def eq_relation_contains(x, partition: Partition) -> bool:
     """Whether the equalizer relation of x refines the partition's relation.
 
-    Germs: the slope must be constant on every infinite class (forcing a
-    constant germ) and pointwise equal on finite classes. Rescalings: every
+    Germs: some class is infinite and a nonconstant slope takes each value
+    only finitely often, so the answer is `is_constant()`. Rescalings: every
     pair of values meeting the same class must be certified equal.
     """
     if isinstance(x, RationalSlopeGerm):
-        for cls in partition.classes:
-            if cls.is_infinite():
-                if not x.is_constant():
-                    return False
-            else:
-                vals = [phi_component(x, n) for n in cls.members_if_finite()]
-                if any(v != vals[0] for v in vals[1:]):
-                    return False
-        return True
+        return x.is_constant()
     for cls in partition.classes:
         vals = _values_on_class(x, cls)
         for a, b in itertools.combinations(vals, 2):

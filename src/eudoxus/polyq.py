@@ -129,29 +129,21 @@ def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
 
 
 def divide_exact(p: Coeffs, d: Coeffs) -> Coeffs:
-    """Exact division p/d; raises ArithmeticError if not exact over the ints."""
+    """Exact quotient p/d by integer long division; ArithmeticError unless d
+    divides p with an integer quotient, as a primitive divisor over the
+    rationals does by Gauss's lemma."""
     p, d = trim(p), trim(d)
-    if not p:
-        return ()
-    if degree(p) < degree(d):
-        raise ArithmeticError("non-exact polynomial division")
     dd, ld = degree(d), leading(d)
-    r = [Fraction(c) for c in p]
-    out = [Fraction(0)] * (len(p) - len(d) + 1)
+    r = list(p)
+    out = [0] * (len(p) - dd)
     for i in range(len(out) - 1, -1, -1):
-        c = r[dd + i] / ld
-        out[i] = c
-        if c:
-            for j, dc in enumerate(d):
-                r[i + j] -= c * dc
-    if any(c != 0 for c in r):
+        # A step that does not divide leaves its nonzero remainder in r[dd + i].
+        out[i] = r[dd + i] // ld
+        for j, dc in enumerate(d):
+            r[i + j] -= out[i] * dc
+    if any(r):
         raise ArithmeticError("non-exact polynomial division")
-    ints = []
-    for c in out:
-        if c.denominator != 1:
-            raise ArithmeticError("non-integer quotient in exact division")
-        ints.append(c.numerator)
-    return trim(ints)
+    return tuple(out)
 
 
 def normalize_ratfun(num, den) -> tuple[Coeffs, Coeffs]:

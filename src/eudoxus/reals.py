@@ -194,14 +194,28 @@ class EudoxusReal:
 
 
 def decimal_of_fraction(value: Fraction, digits: int) -> str:
-    """Fixed-point rendering with round-half-up at the last digit."""
+    """Fixed-point rendering with round-half-up at the last digit, at any
+    number of digits."""
     if digits < 1:
         raise ValueError("digits must be positive")
     scaled = value * 10**digits
     units = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
     sign = "-" if units < 0 else ""
     ipart, fpart = divmod(abs(units), 10**digits)
-    return f"{sign}{ipart}.{fpart:0{digits}d}"
+    # The leading 1 of 10**digits + fpart keeps fpart's leading zeros.
+    return f"{sign}{_decimal(ipart)}.{_decimal(10**digits + fpart)[1:]}"
+
+
+_LIMB = 10**1000  # 1,000 digits per int-to-str conversion: below Python's 4,300
+
+
+def _decimal(n: int) -> str:
+    """n >= 0 in decimal, converted one 1,000-digit limb at a time."""
+    limbs = []
+    while n >= _LIMB:
+        n, low = divmod(n, _LIMB)
+        limbs.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(limbs))
 
 
 def from_rational(p: int, q: int) -> EudoxusReal:

@@ -147,3 +147,29 @@ def least_reaching(f, p: int) -> int:
     while f(a) < p:
         a += 1
     return a
+
+
+def least_period_and_preperiod(bits, limit: int):
+    """(d, p) with d least, then p least, such that d, p <= limit,
+    p + 2*d <= len(bits), and every bit from index p on equals the bit at the
+    same phase in bits[p:p + d]; None when no pair qualifies. A brute force
+    over every (d, p)."""
+    for d in range(1, limit + 1):
+        for p in range(limit + 1):
+            if p + 2 * d <= len(bits) and all(
+                bits[n] == bits[p + (n - p) % d] for n in range(p, len(bits))
+            ):
+                return d, p
+    return None
+
+
+def fraction_long_division(p, d):
+    """(quotient, remainder) of the polynomial p by d over the rationals, as
+    Fraction lists lowest degree first, by schoolbook long division."""
+    r = [Fraction(c) for c in p]
+    q = [Fraction(0)] * max(0, len(p) - len(d) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = r[i + len(d) - 1] / d[-1]
+        for j, c in enumerate(d):
+            r[i + j] -= q[i] * c
+    return q, r

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import stat
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,19 @@ def test_digits_examples(capsys):
     assert code == 0 and out == "1.41421\n"
     code, out, _ = run_cli(["digits", "22/7", "-p", "6"], capsys)
     assert code == 0 and out == "3.142857\n"
+
+
+def test_digits_renders_past_the_int_to_str_digit_limit(capsys):
+    digits = 5000
+    code, out, err = run_cli(["digits", "sqrt(2)", "-p", str(digits)], capsys)
+    truncated = isqrt(2 * 10 ** (2 * (digits + 1)))  # digits + 1 places
+    units = (truncated + 5) // 10  # rounded half up to `digits` places
+    chunks = []
+    for _ in range(digits // 100):
+        units, chunk = divmod(units, 10**100)
+        chunks.append(f"{chunk:0100d}")
+    assert (code, err) == (0, "")
+    assert out == f"{units}." + "".join(reversed(chunks)) + "\n"
 
 
 def test_digits_sort_error_exits_3(capsys):
@@ -362,6 +376,19 @@ def test_lup_check_examples(capsys):
     assert code == 0 and out == "admissible\n"
     code, out, _ = run_cli(["lup", "check", "dx", "--partition", part], capsys)
     assert code == 0 and out == "not admissible\n"
+
+
+@pytest.mark.parametrize(
+    "germ, partition",
+    [
+        ("1/(omega-1)", "pre:01;per:0 ; pre:10;per:1"),
+        ("1/(omega-1)", "pre:10;per:1 ; pre:01;per:0"),
+        ("dx", "pre:1;per:0 ; pre:0;per:1"),
+    ],
+)
+def test_lup_check_germ_with_a_pole_in_a_finite_class(germ, partition, capsys):
+    code, out, err = run_cli(["lup", "check", germ, "--partition", partition], capsys)
+    assert (code, out, err) == (0, "not admissible\n", "")
 
 
 def test_lup_malformed_partition_exits_1(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from eudoxus import hyper, indexset, lup
 from eudoxus.hyper import constant_rescaling, dx, from_real, piecewise
+from eudoxus.indexset import IndexSet
 from eudoxus.lup import (
     LimitFilterSpec,
     Partition,
@@ -153,3 +154,15 @@ def test_opaque_rescaling_on_infinite_class_is_undecidable():
     opaque = hyper.GeneralRescaling(lambda n: from_rational(1, n + 1))
     with pytest.raises(UndecidableWithinBudget):
         eq_relation_contains(opaque, _halves())
+
+
+def test_germ_verdict_ignores_class_order_and_poles():
+    # 1/(i - 1) has a pole at index 1 and dx = 1/i one at index 0; each pole
+    # sits in a finite class, listed first and then last.
+    for g, finite, rest in (
+        (hyper.germ((1,), (-1, 1)), IndexSet("01", "0"), IndexSet("10", "1")),
+        (dx(), indexset.singleton(0), IndexSet("0", "1")),
+    ):
+        for classes in ((finite, rest), (rest, finite)):
+            assert not eq_relation_contains(g, Partition(classes))
+            assert eq_relation_contains(from_real(5), Partition(classes))
