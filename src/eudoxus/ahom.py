@@ -18,9 +18,8 @@ is safe (a race can at worst recompute the same value).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import cached_property
-from math import ceil, isqrt
+from math import isqrt
 
 
 class CertificateError(Exception):
@@ -259,23 +258,14 @@ class Invert(AlmostHom):
             raise ValueError("witness does not certify positivity")
 
     @cached_property
-    def _r_lo(self) -> Fraction:
-        # Best certified lower bound on the represented slope from a fixed
-        # schedule of probe indices (deterministic for a given rule tree).
-        f, c = self.inner, self.inner.bound
-        n = self.witness_n
-        best = Fraction(f.eval(n) - c, n)
-        for _ in range(12):
-            n *= 2
-            cand = Fraction(f.eval(n) - c, n)
-            if cand > best:
-                best = cand
-        return best
-
-    @cached_property
     def bound(self) -> int:
-        c = self.inner.bound
-        return ceil(3 * (c / self._r_lo + 1))
+        # r_lo is the best lower bound (f(n) - C)/n over a fixed schedule of
+        # probes n = witness_n * 2^j, j <= 12, with f(n) > C. Since ceil is
+        # monotone, ceil(3*(C/r_lo + 1)) is the least of the probes' integer
+        # ceilings 3 + ceil(3*C*n/(f(n) - C)).
+        f, c = self.inner, self.inner.bound
+        probes = [(n, f.eval(n)) for n in (self.witness_n << j for j in range(13))]
+        return 3 + min(-(-3 * c * n // (fn - c)) for n, fn in probes if fn > c)
 
     @property
     def direction(self) -> int:

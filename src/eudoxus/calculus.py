@@ -29,7 +29,7 @@ class RatFunction(polyq.RatFun):
     """
 
     def pole(self, x0) -> Exception:
-        return SubstitutionPole(f"pole at x = {x0}")
+        return SubstitutionPole(f"pole at x = {polyq.fraction_text(x0)}")
 
     def __str__(self) -> str:
         num = polyq.format_poly(self.num, "x")

@@ -44,13 +44,13 @@ from .calculus import derivative_at
 from .expr import (
     Context,
     ExprSyntaxError,
-    Sort,
     SortError,
     typecheck,
 )
 from .hyper import InfiniteElement, PoleAtIndex, RationalSlopeGerm
 from .indexset import IndexSetSyntaxError
 from .lup import LimitFilterSpec, Partition, PartitionError, UndecidableWithinBudget
+from .polyq import fraction_text
 from .reals import EudoxusReal, UndecidedSign, decimal_of_fraction
 from .ufsim import TraceError
 
@@ -195,14 +195,19 @@ _RATFN_OPS = {
     expr.Pow: lambda n, f: f**n.exponent,
 }
 
-# A real expression without sqrt( is a rational constant.
-_EXACT_OPS = {**_RATFN_OPS, expr.St: lambda n, x: x}
+# A real expression whose square roots are all of perfect squares is a
+# rational constant.
+_EXACT_OPS = {
+    **_RATFN_OPS,
+    expr.SqrtInt: lambda n: calculus.constant(expr.exact_int_sqrt(n.k)),
+    expr.St: lambda n, x: x,
+}
 
 
 def _is_exact_zero(node) -> bool:
     try:
         return expr.fold(node, _EXACT_OPS).is_zero()
-    except SortError:  # sqrt(k) has no value in this table
+    except SortError:  # an irrational sqrt(k) has no exact value
         return False
 
 
@@ -229,7 +234,7 @@ def cmd_hyper_eval(args, cfg: Config):
     lines = [f"class: {cls.kind.value}"]
     st_text = None
     if cls.st is not None:
-        st_text = str(cls.st)
+        st_text = fraction_text(cls.st)
         lines.append(f"st: {st_text}")
     leading = hyper.format_leading_term(value)
     germ_text = hyper.format_germ(value)
@@ -246,14 +251,12 @@ def cmd_hyper_eval(args, cfg: Config):
 
 def cmd_derive(args, cfg: Config):
     tree = expr.parse(args.poly)
-    sort = typecheck(tree, Context.DERIVE)
-    if sort is not Sort.POLY:
-        raise SortError("derivative body must mention the variable sort")
+    typecheck(tree, Context.DERIVE)
     fn = expr.fold(tree, _RATFN_OPS)
     slope = derivative_at(fn, args.at)
-    exact = str(slope)
+    exact = fraction_text(slope)
     decimal = decimal_of_fraction(slope, cfg.default_precision)
-    result = {"exact": exact, "decimal": decimal, "at": str(args.at)}
+    result = {"exact": exact, "decimal": decimal, "at": fraction_text(args.at)}
     return result, [exact, decimal], 0
 
 

@@ -8,13 +8,15 @@ Grammar (normative for the command line):
     atom   := int | 'sqrt' '(' int ')' | 'dx' | 'omega' | 'x'
             | 'st' '(' expr ')' | 'classify' '(' expr ')' | '(' expr ')'
 
-A quotient of two integer literals is folded to a rational literal after
-parsing, which is the only constant folding performed. Power exponents are
-integer literals because only integer powers are exact in both value tiers.
-Nesting of '(', 'st(' and 'classify(' is capped at MAX_NESTING levels.
+Parsing is one pass. A quotient of two integer literals is folded to a
+rational literal as the tree is built, which is the only constant folding
+performed. Power exponents are integer literals because only integer powers
+are exact in both value tiers. Nesting of '(', 'st(' and 'classify(' is
+capped at MAX_NESTING levels, and a literal longer than the interpreter
+converts from text is a syntax error.
 
-Every walk over a tree (constant folding, sort checking, formatting, and the
-CLI's evaluators) is one `fold` with a table of per-node-type handlers.
+Every walk over a tree (sort checking, formatting, and the CLI's evaluators)
+is one `fold` with a table of per-node-type handlers.
 
 Sorts: Real (exact reals), Hyper (germs), Poly (derivative bodies). Real
 promotes to Hyper in mixed nodes; `x` is only meaningful in a derivative
@@ -25,10 +27,10 @@ digits query.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
 
 
 class ExprSyntaxError(ValueError):
@@ -53,8 +55,6 @@ class VarOutsideDerive(SortError):
 
 # -- tokens -------------------------------------------------------------------
 
-_SYMBOLS = "+-*/^()"
-
 
 class TokenKind(enum.Enum):
     INT = "int"
@@ -71,36 +71,22 @@ class Token:
     offset: int
 
 
+# One group per token kind, named by its TokenKind value. The classes are
+# ASCII, so a non-ASCII digit or letter is an error token. Whitespace, which
+# `\s` matches for exactly the characters where str.isspace() is true,
+# matches no group and is skipped.
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<symbol>[-+*/^()])|(?P<error>\S)"
+)
+
+
 def tokenize(text: str) -> list[Token]:
     """Longest-match lexing; unknown characters become error tokens."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in "0123456789":
-            start = pos
-            while pos < len(text) and text[pos] in "0123456789":
-                pos += 1
-            tokens.append(Token(TokenKind.INT, text[start:pos], start))
-            continue
-        if ch == "_" or (ch.isascii() and ch.isalpha()):
-            start = pos
-            while pos < len(text) and (
-                text[pos] == "_"
-                or (text[pos].isascii() and (text[pos].isalpha() or text[pos].isdigit()))
-            ):
-                pos += 1
-            tokens.append(Token(TokenKind.NAME, text[start:pos], start))
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(TokenKind.SYMBOL, ch, pos))
-            pos += 1
-            continue
-        tokens.append(Token(TokenKind.ERROR, ch, pos))
-        pos += 1
+    tokens = [
+        Token(TokenKind(m.lastgroup), m.group(), m.start())
+        for m in _TOKEN.finditer(text)
+    ]
     tokens.append(Token(TokenKind.EOF, "", len(text)))
     return tokens
 
@@ -180,6 +166,14 @@ class Classify:
 
 _ATOM_EXPECTED = ("integer", "'sqrt'", "'dx'", "'omega'", "'x'", "'st'", "'classify'", "'('")
 
+# Binary operators by precedence level, loosest first; all are left-assoc.
+# Token texts never repeat across token kinds, so the parser dispatches on
+# the text alone.
+_OPERATORS = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
+_LEAVES = {"dx": Dx, "omega": Omega, "x": Var}
+# Each opener wraps the parenthesised expression that follows it.
+_OPENERS = {"(": lambda inner: inner, "st": St, "classify": Classify}
+
 # Deepest nesting of '(', 'st(' and 'classify(' the recursive-descent parser
 # accepts; it keeps the parser's own recursion far below the interpreter limit.
 MAX_NESTING = 100
@@ -209,91 +203,79 @@ class _Parser:
         shown = tok.text or tok.kind.value
         raise ExprSyntaxError(f"unexpected {shown!r}", tok.offset, expected)
 
-    def match_symbol(self, *symbols: str) -> Optional[Token]:
-        tok = self.current
-        if tok.kind is TokenKind.SYMBOL and tok.text in symbols:
-            return self.advance()
-        return None
-
     def expect_symbol(self, symbol: str):
-        if not self.match_symbol(symbol):
+        if self.current.text != symbol:
             self.fail((f"'{symbol}'",))
+        self.advance()
 
     def expect_int(self) -> int:
-        tok = self.current
-        if tok.kind is not TokenKind.INT:
+        if self.current.kind is not TokenKind.INT:
             self.fail(("integer",))
-        self.advance()
-        return int(tok.text)
+        tok = self.advance()
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than the interpreter converts
+            raise ExprSyntaxError("integer literal too long", tok.offset) from None
 
-    def expr(self):
-        node = self.term()
-        while (op := self.match_symbol("+", "-")) is not None:
-            right = self.term()
-            node = Add(node, right) if op.text == "+" else Sub(node, right)
-        return node
+    def expr(self, level: int = 0):
+        """Operands joined by the operators of `level`, left to right.
 
-    def term(self):
-        node = self.factor()
-        while (op := self.match_symbol("*", "/")) is not None:
-            right = self.factor()
-            node = Mul(node, right) if op.text == "*" else Div(node, right)
+        An operand is parsed by a direct call, never through a helper, so
+        that each nesting level costs few interpreter frames.
+        """
+        innermost = level + 1 == len(_OPERATORS)
+        node = self.factor() if innermost else self.expr(level + 1)
+        while (build := _OPERATORS[level].get(self.current.text)) is not None:
+            self.advance()
+            right = self.factor() if innermost else self.expr(level + 1)
+            # A quotient of integer literals folds to a rational literal. A
+            # zero divisor is left unfolded so that evaluation reports it in
+            # the value tier where it occurs.
+            if build is Div and type(node) is type(right) is IntLit and right.value:
+                node = RatLit(Fraction(node.value, right.value))
+            else:
+                node = build(node, right)
         return node
 
     def factor(self):
         node = self.atom()
-        if self.match_symbol("^"):
-            exponent = self.expect_int()
-            node = Pow(node, exponent)
+        if self.current.text == "^":
+            self.advance()
+            node = Pow(node, self.expect_int())
         return node
 
     def atom(self):
         tok = self.current
         if tok.kind is TokenKind.INT:
+            return IntLit(self.expect_int())
+        if tok.text in _LEAVES:
             self.advance()
-            return IntLit(int(tok.text))
-        if tok.kind is TokenKind.NAME:
-            if tok.text == "sqrt":
-                self.advance()
-                self.expect_symbol("(")
-                k = self.expect_int()
-                self.expect_symbol(")")
-                return SqrtInt(k)
-            if tok.text == "dx":
-                self.advance()
-                return Dx()
-            if tok.text == "omega":
-                self.advance()
-                return Omega()
-            if tok.text == "x":
-                self.advance()
-                return Var()
-            if tok.text in ("st", "classify"):
-                self.advance()
-                self.expect_symbol("(")
-                inner = self.nested(tok)
-                return St(inner) if tok.text == "st" else Classify(inner)
+            return _LEAVES[tok.text]()
+        if tok.text == "sqrt":
+            self.advance()
+            self.expect_symbol("(")
+            k = self.expect_int()
+            self.expect_symbol(")")
+            return SqrtInt(k)
+        if tok.text not in _OPENERS:
             self.fail(_ATOM_EXPECTED)
-        if tok.kind is TokenKind.SYMBOL and tok.text == "(":
-            self.advance()
-            return self.nested(tok)
-        self.fail(_ATOM_EXPECTED)
-
-    def nested(self, opener: Token):
-        """The parenthesised expression after `opener`, up to its ')'."""
+        self.advance()
+        if tok.text != "(":  # a named opener takes its '(' next
+            self.expect_symbol("(")
         if self.depth == MAX_NESTING:
             raise ExprSyntaxError(
-                f"nesting deeper than {MAX_NESTING} levels", opener.offset
+                f"nesting deeper than {MAX_NESTING} levels", tok.offset
             )
         self.depth += 1
         inner = self.expr()
         self.expect_symbol(")")
         self.depth -= 1
-        return inner
+        return _OPENERS[tok.text](inner)
 
 
-def parse_tokens(tokens: list[Token]):
-    parser = _Parser(tokens)
+def parse(text: str):
+    """Tokenize and parse an expression, folding integer quotients."""
+    parser = _Parser(tokenize(text))
     node = parser.expr()
     if parser.current.kind is not TokenKind.EOF:
         parser.fail(("operator", "end of input"))
@@ -340,34 +322,6 @@ def fold(tree, table, order=CHILDREN):
         for field in reversed(fields):
             stack.append((getattr(node, field), None, ()))
     return values[0]
-
-
-def _fold_div(node, left, right):
-    if isinstance(left, IntLit) and isinstance(right, IntLit) and right.value != 0:
-        return RatLit(Fraction(left.value, right.value))
-    return Div(left, right)
-
-
-_FOLD_CONSTANTS = {
-    **{t: lambda n: n for t in (IntLit, RatLit, SqrtInt, Dx, Omega, Var)},
-    **{t: lambda n, *kids: type(n)(*kids) for t in (Add, Sub, Mul, St, Classify)},
-    Div: _fold_div,
-    Pow: lambda n, base: Pow(base, n.exponent),
-}
-
-
-def fold_constants(node):
-    """Fold integer-literal quotients into rational literals.
-
-    A zero denominator is left unfolded so that evaluation reports it in the
-    value tier where it occurs.
-    """
-    return fold(node, _FOLD_CONSTANTS)
-
-
-def parse(text: str):
-    """Tokenize, parse and fold an expression."""
-    return fold_constants(parse_tokens(tokenize(text)))
 
 
 # -- sorts --------------------------------------------------------------------

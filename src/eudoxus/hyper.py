@@ -174,7 +174,7 @@ def format_germ(x: RationalSlopeGerm) -> str:
 
 def format_leading_term(x: RationalSlopeGerm) -> str:
     c, d = leading_term(x)
-    return f"{c}*i^{d}"
+    return f"{polyq.fraction_text(c)}*i^{d}"
 
 
 # -- general rescalings -------------------------------------------------------

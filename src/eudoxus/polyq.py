@@ -4,6 +4,8 @@ Coefficients are stored lowest-degree first; the zero polynomial is the empty
 tuple. All arithmetic is exact (ints, with Fractions only in transient
 values). `RatFun` is the shared quotient behind index-dependent slopes
 (`hyper.RationalSlopeGerm`) and the calculus layer (`calculus.RatFunction`).
+`int_text` and `fraction_text` print integers and fractions at any length,
+also past Python's 4,300-digit limit on int-to-str conversion.
 """
 
 from __future__ import annotations
@@ -251,6 +253,26 @@ def from_fraction_coeffs(coeffs) -> tuple[Coeffs, int]:
     return trim(int(c * m) for c in fracs), m
 
 
+_LIMB = 10**1000  # 1,000 digits per int-to-str conversion: below Python's 4,300
+
+
+def int_text(n: int) -> str:
+    """n in decimal at any length, converted one 1,000-digit limb at a time."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    limbs = []
+    while n >= _LIMB:
+        n, low = divmod(n, _LIMB)
+        limbs.append(f"{low:01000d}")
+    return sign + str(n) + "".join(reversed(limbs))
+
+
+def fraction_text(q: Fraction) -> str:
+    """`n` or `n/d`, as str(Fraction) prints q, at any length."""
+    if q.denominator == 1:
+        return int_text(q.numerator)
+    return f"{int_text(q.numerator)}/{int_text(q.denominator)}"
+
+
 def format_poly(p: Coeffs, var: str = "i") -> str:
     if not p:
         return "0"
@@ -260,10 +282,10 @@ def format_poly(p: Coeffs, var: str = "i") -> str:
         if c == 0:
             continue
         if k == 0:
-            body = str(abs(c))
+            body = int_text(abs(c))
         else:
             v = var if k == 1 else f"{var}^{k}"
-            body = v if abs(c) == 1 else f"{abs(c)}*{v}"
+            body = v if abs(c) == 1 else f"{int_text(abs(c))}*{v}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

@@ -26,6 +26,7 @@ from .ahom import (
     Neg,
     Sum,
 )
+from .polyq import int_text
 
 
 class UndecidedSign(Exception):
@@ -203,19 +204,7 @@ def decimal_of_fraction(value: Fraction, digits: int) -> str:
     sign = "-" if units < 0 else ""
     ipart, fpart = divmod(abs(units), 10**digits)
     # The leading 1 of 10**digits + fpart keeps fpart's leading zeros.
-    return f"{sign}{_decimal(ipart)}.{_decimal(10**digits + fpart)[1:]}"
-
-
-_LIMB = 10**1000  # 1,000 digits per int-to-str conversion: below Python's 4,300
-
-
-def _decimal(n: int) -> str:
-    """n >= 0 in decimal, converted one 1,000-digit limb at a time."""
-    limbs = []
-    while n >= _LIMB:
-        n, low = divmod(n, _LIMB)
-        limbs.append(f"{low:01000d}")
-    return str(n) + "".join(reversed(limbs))
+    return f"{sign}{int_text(ipart)}.{int_text(10**digits + fpart)[1:]}"
 
 
 def from_rational(p: int, q: int) -> EudoxusReal:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
+from math import ceil
 
 
 def bisect_isqrt(n: int) -> int:
@@ -135,6 +136,17 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
+
+
+def invert_bound(inner, witness_n: int) -> int:
+    """The Invert certificate ceil(3*(C/r_lo + 1)) in Fractions, where C is
+    inner's bound and r_lo the largest (f(n) - C)/n over the probes
+    n = witness_n * 2^j, j <= 12."""
+    c = inner.bound
+    r_lo = max(
+        Fraction(inner.eval(witness_n << j) - c, witness_n << j) for j in range(13)
+    )
+    return ceil(3 * (c / r_lo + 1))
 
 
 def least_reaching(f, p: int) -> int:

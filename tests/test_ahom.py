@@ -20,7 +20,7 @@ from eudoxus.ahom import (
     verify_bound,
 )
 
-from oracles import bisect_isqrt, least_reaching
+from oracles import bisect_isqrt, invert_bound, least_reaching
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -267,6 +267,18 @@ def _random_tree(rng, depth):
     if kind == "compose":
         return Compose(a, _random_tree(rng, depth - 1))
     return _witnessed(a) or _witnessed(Neg(a)) or a
+
+
+def test_invert_bound_matches_fraction_oracle():
+    rng = random.Random(1884)
+    checked = 0
+    for _ in range(300):
+        f = _random_tree(rng, 3)
+        inv = _witnessed(f) or _witnessed(Neg(f))
+        if inv is not None:
+            assert inv.bound == invert_bound(inv.inner, inv.witness_n), format_rule(inv)
+            checked += 1
+    assert checked >= 150
 
 
 def test_direction_is_sound_on_random_trees():

@@ -59,6 +59,34 @@ def test_digits_exact_zero_divisor_exits_3(text, capsys):
     assert (code, out, err) == (3, "", "error: division by zero\n")
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [("1" + "0" * 5000, 0), ("2^1" + "0" * 5000, 2), ("sqrt(1" + "0" * 5000 + ")", 5)],
+    ids=["literal", "exponent", "sqrt"],
+)
+def test_integer_literal_past_the_digit_limit_exits_1(text, offset, capsys):
+    code, out, err = run_cli(["digits", text], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: integer literal too long (offset {offset})\n"
+
+
+@pytest.mark.parametrize(
+    "text, code, out, err",
+    [
+        ("1/sqrt(0)", 3, "", "error: division by zero\n"),
+        ("1/(sqrt(4)-2)", 3, "", "error: division by zero\n"),
+        ("1/sqrt(4)", 0, "0.5000000000\n", ""),
+    ],
+)
+def test_digits_perfect_square_root_divisors(text, code, out, err, capsys):
+    assert run_cli(["digits", text], capsys) == (code, out, err)
+
+
+def test_irrational_root_divisor_stays_undecided(capsys):
+    code, out, err = run_cli(["digits", "1/(sqrt(3)*sqrt(3)-3)"], capsys)
+    assert (code, out) == (2, "") and err.startswith("budget exhausted")
+
+
 def test_parse_error_exits_1(capsys):
     code, _, err = run_cli(["digits", "1++2"], capsys)
     assert code == 1 and "offset 2" in err
@@ -329,6 +357,35 @@ def test_derive_examples(capsys):
 
 def test_derive_pole_exits_3(capsys):
     assert run_cli(["derive", "1/x", "--at", "0"], capsys)[0] == 3
+
+
+def test_germ_and_derivative_texts_past_the_int_to_str_digit_limit(capsys):
+    big = "1" + "0" * 5000  # 10^5000
+    code, out, err = run_cli(["hyper", "eval", "10^5000"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "class: AppreciableFinite",
+        f"st: {big}",
+        f"leading: {big}*i^0",
+        f"germ: {big}",
+    ]
+    code, out, err = run_cli(["hyper", "eval", "1/10^5000"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "class: AppreciableFinite",
+        f"st: 1/{big}",
+        f"leading: 1/{big}*i^0",
+        f"germ: 1/{big}",
+    ]
+    exact = "2" + "0" * 5000
+    for argv in (["x^2*10^5000", "--at", "1"], ["x^2", "--at", "1e5000"]):
+        code, out, err = run_cli(["derive", *argv], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [exact, exact + ".0000000000"]
+    code, out, err = run_cli(["derive", "x", "--at", "1e5000", "--json"], capsys)
+    assert (code, err) == (0, "") and json.loads(out)["result"]["at"] == big
+    code, out, err = run_cli(["derive", "1/(x-10^5000)", "--at", "1e5000"], capsys)
+    assert (code, out, err) == (3, "", f"error: pole at x = {big}\n")
 
 
 def test_ultra_session(tmp_path, capsys):

@@ -124,6 +124,38 @@ def test_nesting_limit(opener):
     assert exc.value.offset == MAX_NESTING * len(opener)
 
 
+_ATOM = "expected integer, 'sqrt', 'dx', 'omega', 'x', 'st', 'classify', '('"
+_TAIL = "expected operator, end of input"
+# One input per place the parser can fail, with its whole message.
+_MESSAGES = {
+    "": f"unexpected 'end of input' (offset 0); {_ATOM}",
+    "1+": f"unexpected 'end of input' (offset 2); {_ATOM}",
+    "1 @ 2": f"unknown character '@' (offset 2); {_TAIL}",
+    "sqrt(2": "unexpected 'end of input' (offset 6); expected ')'",
+    "sqrt 2": "unexpected '2' (offset 5); expected '('",
+    "sqrt(x)": "unexpected 'x' (offset 5); expected integer",
+    "2^x": "unexpected 'x' (offset 2); expected integer",
+    "2^3^2": f"unexpected '^' (offset 3); {_TAIL}",
+    "foo": f"unexpected 'foo' (offset 0); {_ATOM}",
+    "(1": "unexpected 'end of input' (offset 2); expected ')'",
+    "st 1": "unexpected '1' (offset 3); expected '('",
+    "1)": f"unexpected ')' (offset 1); {_TAIL}",
+    "classify(": f"unexpected 'end of input' (offset 9); {_ATOM}",
+    ")": f"unexpected ')' (offset 0); {_ATOM}",
+    "1 2": f"unexpected '2' (offset 2); {_TAIL}",
+    "(" * 101 + "1" + ")" * 101: "nesting deeper than 100 levels (offset 100)",
+}
+
+
+@pytest.mark.parametrize(
+    "text", _MESSAGES, ids=lambda text: text if len(text) < 20 else "101 nested ("
+)
+def test_parser_messages_are_pinned(text):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == _MESSAGES[text]
+
+
 def test_typecheck_raises_the_first_error_in_reading_order():
     # st( is read before its argument, and the left operand before the right.
     with pytest.raises(SortError, match="st"):
