@@ -17,6 +17,7 @@ is safe (a race can at worst recompute the same value).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from math import isqrt
@@ -415,57 +416,52 @@ def format_rule(f: AlmostHom) -> str:
     return f"{_RULE_TAGS[cls]}({_separator(cls).join(args)})"
 
 
-class _RuleParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def fail(self, message: str):
-        raise RuleSyntaxError(message, self.pos)
-
-    def expect(self, ch: str):
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def integer(self) -> int:
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            self.fail("expected integer")
-        return int(self.text[start:self.pos])
-
-    def name(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected rule name")
-        return self.text[start:self.pos]
-
-    def rule(self) -> AlmostHom:
-        tag = self.name()
-        self.expect("(")
-        cls = _RULE_CLASSES.get(tag)
-        if cls is None:
-            self.fail(f"unknown rule name {tag!r}")
-        args = []
-        for field in fields(cls):
-            if args:
-                self.expect(_separator(cls))
-            args.append(self.integer() if field.type == "int" else self.rule())
-        node = cls(*args)
-        self.expect(")")
-        return node
+# One token is a name, an integer or any other single character, and an empty
+# token ends the text. The groups are ASCII, so every text that parses is one
+# that `format_rule` prints.
+_RULE_TOKEN = re.compile(r"([A-Za-z]+)|(-?[0-9]+)|(.|\Z)", re.S)
 
 
 def parse_rule(text: str) -> AlmostHom:
-    """Parse the canonical text form; inverse of `format_rule`."""
-    parser = _RuleParser(text)
-    node = parser.rule()
-    if parser.pos != len(text):
-        parser.fail("trailing input after rule")
+    """Parse the canonical text form; inverse of `format_rule`.
+
+    One pass splits the text into tokens. Malformed text raises
+    RuleSyntaxError at the offset of the first token out of place, and a node
+    whose constructor rejects its arguments at the offset of the node's name.
+    """
+    tokens = _RULE_TOKEN.finditer(text)
+
+    def take(expected: str) -> re.Match:
+        """The next token, which must be of the kind `expected` names."""
+        tok = next(tokens)
+        if ("rule name", "integer", repr(tok[0]))[tok.lastindex - 1] != expected:
+            # A lone '-' reads as the sign of an integer whose digits are missing.
+            lone_sign = expected == "integer" and tok[0] == "-"
+            raise RuleSyntaxError(
+                f"expected {expected}", tok.end() if lone_sign else tok.start()
+            )
+        return tok
+
+    def rule() -> AlmostHom:
+        name = take("rule name")
+        take("'('")
+        cls = _RULE_CLASSES.get(name[0])
+        if cls is None:
+            raise RuleSyntaxError(f"unknown rule name {name[0]!r}", name.end() + 1)
+        args = []
+        for field in fields(cls):
+            if args:
+                take(repr(_separator(cls)))
+            args.append(int(take("integer")[0]) if field.type == "int" else rule())
+        try:
+            node = cls(*args)
+        except ValueError as exc:
+            raise RuleSyntaxError(str(exc), name.start()) from None
+        take("')'")
+        return node
+
+    node = rule()
+    trailing = next(tokens)
+    if trailing[0]:
+        raise RuleSyntaxError("trailing input after rule", trailing.start())
     return node

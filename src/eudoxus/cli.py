@@ -269,7 +269,7 @@ def _load_state(path: str) -> ufsim.FilterState:
 @contextmanager
 def _locked(path: str):
     try:
-        fh = open(path + ".lock", "w")
+        fh = open(path + ".lock", "w", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot lock state file: {exc}") from None
     with fh:

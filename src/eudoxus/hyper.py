@@ -111,9 +111,6 @@ class HyperClass:
     kind: HyperKind
     st: Optional[Fraction]  # standard part; None for infinite elements
 
-    def is_finite(self) -> bool:
-        return self.st is not None
-
 
 def classify(x: RationalSlopeGerm) -> HyperClass:
     """Zero, infinitesimal, appreciable or infinite, read off `leading_term`."""

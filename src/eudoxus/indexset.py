@@ -15,6 +15,7 @@ simulator.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import lcm
 
@@ -166,29 +167,19 @@ def format_set(s: IndexSet) -> str:
     return f"pre:{s.pre};per:{s.period}"
 
 
+_SPEC = re.compile(r"(pre:)?([01]*)(;per:)?([01]*)")
+
+
 def parse(spec: str) -> IndexSet:
-    """Parse `pre:<bits>;per:<bits>`; rejects malformed input with an offset."""
-    pos = 0
-
-    def expect(literal: str):
-        nonlocal pos
-        if not spec.startswith(literal, pos):
-            raise IndexSetSyntaxError(f"expected {literal!r}", pos)
-        pos += len(literal)
-
-    def bits() -> str:
-        nonlocal pos
-        start = pos
-        while pos < len(spec) and spec[pos] in "01":
-            pos += 1
-        return spec[start:pos]
-
-    expect("pre:")
-    pre = bits()
-    expect(";per:")
-    period = bits()
-    if not period:
-        raise IndexSetSyntaxError("period must be nonempty", pos)
-    if pos != len(spec):
-        raise IndexSetSyntaxError("trailing input after set spec", pos)
-    return IndexSet(pre, period)
+    """Parse `pre:<bits>;per:<bits>` in one match. Malformed input raises
+    IndexSetSyntaxError for the first part that is missing, at its offset."""
+    m = _SPEC.match(spec)
+    if not m[1]:
+        raise IndexSetSyntaxError("expected 'pre:'", 0)
+    if not m[3]:
+        raise IndexSetSyntaxError("expected ';per:'", m.end(2))
+    if not m[4]:
+        raise IndexSetSyntaxError("period must be nonempty", m.end(4))
+    if m.end() != len(spec):
+        raise IndexSetSyntaxError("trailing input after set spec", m.end())
+    return IndexSet(m[2], m[4])

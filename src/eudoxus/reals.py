@@ -94,31 +94,20 @@ class EudoxusReal:
         return EudoxusReal(Compose(self.rep, other.rep))
 
     def recip(self, budget: int) -> "EudoxusReal":
-        """Multiplicative inverse, requiring a decided sign within budget."""
-        verdict = self.sign_budget(budget)
-        if isinstance(verdict, ZeroWithin):
-            raise UndecidedSign(verdict.eps, budget)
-        if isinstance(verdict, Negative):
-            return self.neg().recip(budget).neg()
-        f = self.rep
-        n = 1
-        while n <= budget:
-            if f.eval(n) > f.bound:
-                return EudoxusReal(Invert(f, n))
-            n *= 2
-        raise AssertionError("positive verdict without witness")
+        """Multiplicative inverse, requiring a decided sign within budget.
 
-    def __add__(self, other):
-        return self.add(other)
+        A negative f is inverted as -(1/(-f)), at the witness n of f's own
+        scan: the first probe with |f(n)| > C is the first with -f(n) > C.
+        """
+        n, v = self._scan(budget)
+        f, c = self.rep, self.rep.bound
+        if v > c:
+            return EudoxusReal(Invert(f, n))
+        if v < -c:
+            return EudoxusReal(Neg(Invert(Neg(f), n)))
+        raise UndecidedSign(Fraction(c + abs(v), n), budget)
 
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def __mul__(self, other):
-        return self.mul(other)
-
-    def __neg__(self):
-        return self.neg()
+    __add__, __sub__, __mul__, __neg__ = add, sub, mul, neg
 
     # -- observation --------------------------------------------------------
 
@@ -129,27 +118,33 @@ class EudoxusReal:
         n = 1 << k
         return Fraction(self.rep.eval(n), n)
 
+    def _scan(self, budget: int) -> tuple[int, int]:
+        """(n, f(n)) at the first n = 1, 2, 4, ... <= budget with |f(n)| > C,
+        or at the last n probed when there is none."""
+        if budget < 1:
+            raise ValueError("budget must be positive")
+        f, c = self.rep, self.rep.bound
+        n = 1
+        while True:
+            v = f.eval(n)
+            if abs(v) > c or 2 * n > budget:
+                return n, v
+            n *= 2
+
     def sign_budget(self, budget: int):
-        """Scan n = 1, 2, 4, ... <= budget for a certified sign witness.
+        """The sign read from one scan of n = 1, 2, 4, ... <= budget.
 
         f(n) > C certifies r > 0 and f(n) < -C certifies r < 0 because
         |f(n) - r*n| <= C for n >= 1. If no witness appears the verdict is
         ZeroWithin((C + |f(n_max)|)/n_max), which is equally certified.
         """
-        if budget < 1:
-            raise ValueError("budget must be positive")
-        f, c = self.rep, self.rep.bound
-        n = 1
-        last = 1
-        while n <= budget:
-            v = f.eval(n)
-            if v > c:
-                return Positive()
-            if v < -c:
-                return Negative()
-            last = n
-            n *= 2
-        return ZeroWithin(Fraction(c + abs(f.eval(last)), last))
+        n, v = self._scan(budget)
+        c = self.rep.bound
+        if v > c:
+            return Positive()
+        if v < -c:
+            return Negative()
+        return ZeroWithin(Fraction(c + abs(v), n))
 
     def compare(self, other: "EudoxusReal", budget: int):
         verdict = self.sub(other).sign_budget(budget)
@@ -169,15 +164,10 @@ class EudoxusReal:
         """
         f, g = self.rep, other.rep
         tol = f.bound + g.bound
-        pos = range(window + 1)
-        for a, b in zip(ahom.eval_range(f, pos), ahom.eval_range(g, pos)):
-            if abs(a - b) > tol:
-                return False
-        tol3 = 3 * tol
-        neg_side = range(-window, 0)
-        for a, b in zip(ahom.eval_range(f, neg_side), ahom.eval_range(g, neg_side)):
-            if abs(a - b) > tol3:
-                return False
+        for args, limit in ((range(window + 1), tol), (range(-window, 0), 3 * tol)):
+            for a, b in zip(ahom.eval_range(f, args), ahom.eval_range(g, args)):
+                if abs(a - b) > limit:
+                    return False
         return True
 
     def to_decimal(self, digits: int) -> str:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from eudoxus import ahom
+from eudoxus import ahom, indexset
 from eudoxus.ahom import (
     CertificateError,
     Compose,
@@ -193,6 +193,58 @@ def test_parse_rule_rejects_malformed():
         parse_rule("mystery(1)")
     with pytest.raises(RuleSyntaxError):
         parse_rule("sqrt(2)x")
+
+
+# One input per place a reader can fail, with its message and offset.
+_READER_MESSAGES = [
+    (parse_rule, "", "expected rule name", 0),
+    (parse_rule, "mystery(1)", "unknown rule name 'mystery'", 8),
+    (parse_rule, "sqrt 2", "expected '('", 4),
+    (parse_rule, "linear(1,2)", "expected '/'", 8),
+    (parse_rule, "sum(sqrt(2)/sqrt(3))", "expected ','", 11),
+    (parse_rule, "sqrt(n)", "expected integer", 5),
+    (parse_rule, "scale(-n,sqrt(2))", "expected integer", 7),
+    (parse_rule, "linear(1/2", "expected ')'", 10),
+    (parse_rule, "sqrt(2)x", "trailing input after rule", 7),
+    (indexset.parse, "per:10", "expected 'pre:'", 0),
+    (indexset.parse, "pre:01;px:1", "expected ';per:'", 6),
+    (indexset.parse, "pre:0;per:", "period must be nonempty", 10),
+    (indexset.parse, "pre:;per:10x", "trailing input after set spec", 11),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, text, message, offset",
+    _READER_MESSAGES,
+    ids=[f"{reader.__module__}:{text}" for reader, text, *_ in _READER_MESSAGES],
+)
+def test_reader_messages_are_pinned(reader, text, message, offset):
+    with pytest.raises(ValueError) as exc:
+        reader(text)
+    assert str(exc.value) == f"{message} (offset {offset})"
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("linear(1/0)", "denominator must be a positive integer", 0),
+        ("sqrt(-1)", "radicand must be nonnegative", 0),
+        ("invert(linear(1/1),0)", "witness index must be positive", 0),
+        ("invert(linear(-1/1),1)", "witness does not certify positivity", 0),
+        ("sum(sqrt(2),linear(1/0))", "denominator must be a positive integer", 12),
+        ("linear(\u00b2/1)", "expected integer", 7),  # superscript two
+        ("linear(\u0663/1)", "expected integer", 7),  # Arabic-Indic three
+        ("\u00e9(1)", "expected rule name", 0),
+    ],
+)
+def test_malformed_rule_texts_raise_rule_syntax_errors(text, message, offset):
+    # Rejected constructor arguments point at the node's name; names and
+    # digits are ASCII, so every text that parses round-trips.
+    with pytest.raises(RuleSyntaxError) as exc:
+        parse_rule(text)
+    assert str(exc.value) == f"{message} (offset {offset})"
+    assert exc.value.offset == offset
 
 
 def test_invert_round_trip():

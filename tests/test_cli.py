@@ -420,7 +420,7 @@ def test_ultra_bad_spec_exits_1(capsys):
 
 def test_ultra_inconsistent_state_exits_3(tmp_path, capsys):
     state = tmp_path / "ultra.trace"
-    state.write_text("Accepted pre:;per:10\nAccepted pre:;per:01\n")
+    state.write_text("Accepted pre:;per:10\nAccepted pre:;per:01\n", encoding="utf-8")
     code, _, err = run_cli(
         ["ultra", "contains", "pre:;per:10", "--state", str(state)], capsys
     )
@@ -510,7 +510,7 @@ def test_output_is_deterministic(tmp_path, capsys):
 
 def test_config_file_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "eudoxus.conf"
-    cfg.write_text("default_precision = 4  # file wins over default\n")
+    cfg.write_text("default_precision = 4  # file wins over default\n", encoding="utf-8")
     code, out, _ = run_cli(["digits", "22/7", "--config", str(cfg)], capsys)
     assert code == 0 and out == "3.1429\n"
 
@@ -526,7 +526,7 @@ def test_config_file_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "eudoxus.conf"
-    cfg.write_text("budgett = 12\n")
+    cfg.write_text("budgett = 12\n", encoding="utf-8")
     code, _, err = run_cli(["digits", "1/2", "--config", str(cfg)], capsys)
     assert code == 1 and "unknown key" in err
 
@@ -534,7 +534,7 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 def test_config_state_path_used_by_ultra(tmp_path, capsys):
     cfg = tmp_path / "eudoxus.conf"
     state = tmp_path / "session.trace"
-    cfg.write_text(f"state_path = {state}\n")
+    cfg.write_text(f"state_path = {state}\n", encoding="utf-8")
     code, out, _ = run_cli(
         ["ultra", "query", "pre:;per:10", "--config", str(cfg)], capsys
     )

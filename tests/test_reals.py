@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from eudoxus import reals
-from eudoxus.ahom import FloorLinear, verify_bound
+from eudoxus.ahom import FloorLinear, Invert, Neg, verify_bound
 from eudoxus.reals import (
     EudoxusReal,
     Greater,
@@ -242,3 +242,42 @@ def test_representative_certificates_hold_for_compounds():
     x = from_sqrt_int(2).mul(from_sqrt_int(3)).add(from_rational(-7, 3))
     assert verify_bound(x.rep, 100).ok
     assert isinstance(x.rep, type(x.add(x).rep.left))  # Sum node shape
+
+
+def _random_real(rng: random.Random, depth: int) -> EudoxusReal:
+    """A tree of depth <= `depth` over signed rationals, roots and values
+    within 10^-6 of zero."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(
+            (
+                from_rational(rng.randint(-9, 9), rng.randint(1, 9)),
+                from_sqrt_int(rng.randint(0, 12)).mul(from_rational(rng.choice((-1, 1)), 1)),
+                from_rational(rng.choice((-1, 1)), 10 ** rng.randint(1, 6)),
+                from_sqrt_int(2).mul(from_sqrt_int(2)).sub(from_rational(2, 1)),
+            )
+        )
+    x, y = _random_real(rng, depth - 1), _random_real(rng, depth - 1)
+    return rng.choice((x.add(y), x.sub(y), x.mul(y), x.neg(), x.sub(x)))
+
+
+def test_recip_inverts_at_the_first_sign_witness():
+    rng = random.Random(9)
+    budgets = (1, 2, 3, 8, 100, 1 << 10, 1 << 16)
+    for _ in range(150):
+        x = _random_real(rng, 3)
+        f, c = x.rep, x.rep.bound
+        for b in budgets:
+            verdict = x.sign_budget(b)
+            ladder = [1 << j for j in range(b.bit_length())]
+            n = next((n for n in ladder if abs(f.eval(n)) > c), None)
+            assert (n is None) == isinstance(verdict, ZeroWithin)
+            if n is None:
+                with pytest.raises(UndecidedSign) as exc:
+                    x.recip(b)
+                assert exc.value.eps == verdict.eps and exc.value.budget == b
+            elif f.eval(n) > c:
+                assert isinstance(verdict, Positive)
+                assert x.recip(b).rep == Invert(f, n)
+            else:
+                assert isinstance(verdict, Negative)
+                assert x.recip(b).rep == Neg(Invert(Neg(f), n))
