@@ -442,6 +442,13 @@ def parse_rule(text: str) -> AlmostHom:
             )
         return tok
 
+    def integer() -> int:
+        tok = take("integer")
+        try:
+            return int(tok[0])
+        except ValueError:  # more digits than the interpreter converts
+            raise RuleSyntaxError("integer too long", tok.start()) from None
+
     def rule() -> AlmostHom:
         name = take("rule name")
         take("'('")
@@ -452,7 +459,7 @@ def parse_rule(text: str) -> AlmostHom:
         for field in fields(cls):
             if args:
                 take(repr(_separator(cls)))
-            args.append(int(take("integer")[0]) if field.type == "int" else rule())
+            args.append(integer() if field.type == "int" else rule())
         try:
             node = cls(*args)
         except ValueError as exc:

@@ -52,7 +52,7 @@ from .indexset import IndexSetSyntaxError
 from .lup import LimitFilterSpec, Partition, PartitionError, UndecidableWithinBudget
 from .polyq import fraction_text
 from .reals import EudoxusReal, UndecidedSign, decimal_of_fraction
-from .ufsim import TraceError
+from .ufsim import MeetOverBudget, TraceError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -260,10 +260,10 @@ def cmd_derive(args, cfg: Config):
     return result, [exact, decimal], 0
 
 
-def _load_state(path: str) -> ufsim.FilterState:
+def _load_state(path: str, budget: int) -> ufsim.FilterState:
     if not os.path.exists(path):
         return ufsim.fresh_state()
-    return ufsim.import_trace(_read_text(path, "state file"))
+    return ufsim.import_trace(_read_text(path, "state file"), budget=budget)
 
 
 @contextmanager
@@ -308,8 +308,8 @@ def cmd_ultra_query(args, cfg: Config):
     # One lock per real file, and the rename lands on a symlink's target.
     path = os.path.realpath(cfg.state_path)
     with _locked(path):
-        state = _load_state(path)
-        verdict, state = ufsim.query(state, s)
+        state = _load_state(path, cfg.budget)
+        verdict, state = ufsim.query(state, s, budget=cfg.budget)
         _replace_file(path, ufsim.export_trace(state))
     result = {"verdict": verdict.value, "set": indexset.format_set(s)}
     return result, [verdict.value], 0
@@ -317,13 +317,14 @@ def cmd_ultra_query(args, cfg: Config):
 
 def cmd_ultra_contains(args, cfg: Config):
     s = indexset.parse(args.setspec)
-    answer = ufsim.contains(_load_state(cfg.state_path), s)
+    state = _load_state(cfg.state_path, cfg.budget)
+    answer = ufsim.contains(state, s, budget=cfg.budget)
     result = {"containment": answer.value, "set": indexset.format_set(s)}
     return result, [answer.value], 0
 
 
 def cmd_ultra_trace(args, cfg: Config):
-    lines = ufsim.export_trace(_load_state(cfg.state_path)).splitlines()
+    lines = ufsim.export_trace(_load_state(cfg.state_path, cfg.budget)).splitlines()
     return {"entries": lines}, lines, 0
 
 
@@ -680,7 +681,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UndecidedSign as exc:
+    except (UndecidedSign, MeetOverBudget) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (

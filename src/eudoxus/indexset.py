@@ -8,6 +8,14 @@ canonicalizes: minimal period by divisor search, then minimal preperiod by
 absorbing trailing bits the period already explains, so equal sets are
 structurally identical.
 
+The binary operations work on integer bitmasks, a machine word at a time in
+C, not on one bit at a time. Each operand's period, tiled to the common
+length L = lcm of the two periods, is read as one Python integer
+(`int(bits, 2)`), and so are each operand's first p bits, where p is the
+longer preperiod (past its own preperiod an operand continues with its
+period at absolute phase). The two integers are joined with `&` or `|` and
+formatted back to L (or p) bits with leading zeros.
+
 Infinitude and cofiniteness are decidable by inspecting the period, which is
 what makes this algebra a usable query universe for the ultrafilter
 simulator.
@@ -15,6 +23,7 @@ simulator.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from math import lcm
@@ -28,6 +37,9 @@ class IndexSetSyntaxError(ValueError):
         self.offset = offset
 
 
+_BITS = re.compile("[01]*")
+
+
 @dataclass(frozen=True)
 class IndexSet:
     pre: str
@@ -36,7 +48,7 @@ class IndexSet:
     def __post_init__(self):
         if not self.period:
             raise ValueError("period must be nonempty")
-        if any(c not in "01" for c in self.pre + self.period):
+        if not (_BITS.fullmatch(self.pre) and _BITS.fullmatch(self.period)):
             raise ValueError("bits must be 0 or 1")
         pre, period = _canonicalize(self.pre, self.period)
         object.__setattr__(self, "pre", pre)
@@ -119,24 +131,28 @@ def eventually_periodic(bits, limit: int) -> IndexSet | None:
     return None
 
 
+def _prefix(s: IndexSet, n: int) -> int:
+    """Membership of 0..n-1 in s, for n >= len(s.pre), as an integer whose
+    most significant bit is index 0."""
+    tiled = s.period * (n // len(s.period) + 1)
+    return int(s.pre + tiled[len(s.pre) : n], 2)
+
+
 def _binary(s: IndexSet, t: IndexSet, op) -> IndexSet:
     p = max(len(s.pre), len(t.pre))
     ds, dt = len(s.period), len(t.period)
     length = lcm(ds, dt)
-    pre = "".join("1" if op(s.member(n), t.member(n)) else "0" for n in range(p))
-    per = "".join(
-        "1" if op(s.period[m % ds] == "1", t.period[m % dt] == "1") else "0"
-        for m in range(length)
-    )
-    return IndexSet(pre, per)
+    per = op(int(s.period * (length // ds), 2), int(t.period * (length // dt), 2))
+    pre = format(op(_prefix(s, p), _prefix(t, p)), f"0{p}b") if p else ""
+    return IndexSet(pre, format(per, f"0{length}b"))
 
 
 def union(s: IndexSet, t: IndexSet) -> IndexSet:
-    return _binary(s, t, lambda a, b: a or b)
+    return _binary(s, t, operator.or_)
 
 
 def intersect(s: IndexSet, t: IndexSet) -> IndexSet:
-    return _binary(s, t, lambda a, b: a and b)
+    return _binary(s, t, operator.and_)
 
 
 def complement(s: IndexSet) -> IndexSet:

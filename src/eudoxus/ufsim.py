@@ -12,12 +12,18 @@ Accept-first makes the simulation deterministic and replayable; any
 FIP-preserving policy realizes the restriction of some genuine non-principal
 ultrafilter, and on cofinite/finite sets every such ultrafilter agrees, so
 those verdicts are forced rather than chosen.
+
+A query or containment check that must meet a set with the running meet can
+be given a budget: the meet's period length, the lcm of the two periods, is
+known before any bit is built, and a length over the budget raises
+MeetOverBudget instead. Without a budget nothing is capped.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import lcm
 
 from . import indexset
 from .indexset import IndexSet
@@ -29,6 +35,15 @@ class TraceError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"{message} (line {line})")
         self.line = line
+
+
+class MeetOverBudget(Exception):
+    """Meeting a set with the running meet would build a period over budget."""
+
+    def __init__(self, length: int, budget: int):
+        super().__init__(
+            f"meet period would be {length} bits, over budget {budget}"
+        )
 
 
 class Verdict(enum.Enum):
@@ -44,32 +59,61 @@ class Containment(enum.Enum):
 
 @dataclass(frozen=True)
 class FilterState:
-    """Decision log plus the running meet of all commitments."""
+    """Decision log plus the running meet of all commitments.
+
+    `verdicts` is the log as a set -> verdict dict, so a repeated query is
+    one lookup. It is built from the log when not given, takes no part in
+    equality or repr, and is copied into each derived state, so an older
+    state keeps its own answers.
+    """
 
     log: tuple[tuple[IndexSet, Verdict], ...]
     meet: IndexSet
+    verdicts: dict | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.verdicts is None:
+            object.__setattr__(self, "verdicts", dict(self.log))
 
 
 def fresh_state() -> FilterState:
     return FilterState((), indexset.full())
 
 
-def query(state: FilterState, s: IndexSet) -> tuple[Verdict, FilterState]:
-    """Decide s, committing the decision. Idempotent on repeated queries."""
-    for logged, verdict in state.log:
-        if logged == s:
-            return verdict, state
+def _charge(s: IndexSet, meet: IndexSet, budget: int | None) -> None:
+    """Raise MeetOverBudget if meeting s with `meet` would exceed `budget` bits."""
+    if budget is not None:
+        length = lcm(len(s.period), len(meet.period))
+        if length > budget:
+            raise MeetOverBudget(length, budget)
+
+
+def query(
+    state: FilterState, s: IndexSet, *, budget: int | None = None
+) -> tuple[Verdict, FilterState]:
+    """Decide s, committing the decision. Idempotent on repeated queries,
+    which are answered from the log without meeting s again."""
+    verdict = state.verdicts.get(s)
+    if verdict is not None:
+        return verdict, state
+    _charge(s, state.meet, budget)
     hit = indexset.intersect(s, state.meet)
     if hit.is_infinite():
-        new = FilterState(state.log + ((s, Verdict.ACCEPTED),), hit)
-        return Verdict.ACCEPTED, new
-    miss = indexset.intersect(indexset.complement(s), state.meet)
-    new = FilterState(state.log + ((s, Verdict.REJECTED),), miss)
-    return Verdict.REJECTED, new
+        verdict, meet = Verdict.ACCEPTED, hit
+    else:
+        verdict = Verdict.REJECTED
+        meet = indexset.intersect(indexset.complement(s), state.meet)
+    new = FilterState(
+        state.log + ((s, verdict),), meet, {**state.verdicts, s: verdict}
+    )
+    return verdict, new
 
 
-def contains(state: FilterState, s: IndexSet) -> Containment:
+def contains(
+    state: FilterState, s: IndexSet, *, budget: int | None = None
+) -> Containment:
     """Read-only closure check against the current commitments."""
+    _charge(s, state.meet, budget)
     if indexset.difference(state.meet, s).is_finite():
         return Containment.FORCED_IN
     if indexset.intersect(s, state.meet).is_finite():
@@ -77,11 +121,12 @@ def contains(state: FilterState, s: IndexSet) -> Containment:
     return Containment.UNDECIDED
 
 
-def replay(entries) -> FilterState:
-    """Rebuild a state from (set, verdict) pairs, checking every decision."""
+def replay(entries, *, budget: int | None = None) -> FilterState:
+    """Rebuild a state from (set, verdict) pairs, checking every decision;
+    `budget` caps each query's meet as in `query`."""
     state = fresh_state()
     for line, (s, recorded) in enumerate(entries, start=1):
-        computed, state = query(state, s)
+        computed, state = query(state, s, budget=budget)
         if computed is not recorded:
             raise TraceError(
                 f"inconsistent trace: {indexset.format_set(s)} recorded as "
@@ -98,7 +143,7 @@ def export_trace(state: FilterState) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def import_trace(text: str) -> FilterState:
+def import_trace(text: str, *, budget: int | None = None) -> FilterState:
     entries = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -117,4 +162,4 @@ def import_trace(text: str) -> FilterState:
         except indexset.IndexSetSyntaxError as exc:
             raise TraceError(f"bad set spec: {exc}", line_no) from None
         entries.append((s, verdict))
-    return replay(entries)
+    return replay(entries, budget=budget)

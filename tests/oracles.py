@@ -175,6 +175,29 @@ def least_period_and_preperiod(bits, limit: int):
     return None
 
 
+def periodic_set_form(member, start: int, period: int) -> tuple[str, str]:
+    """The canonical (pre, period) bit strings of the set {n : member(n)},
+    given that membership repeats with `period` from index `start` on: the
+    least period d, then the least preperiod p, with the period at absolute
+    phase (its bit i is the membership of every n >= p with n % d == i).
+    A brute force over the membership of the first start + 2 * period
+    indices: a tail that repeats with `period` repeats with d exactly when
+    one `period`-long window of it does."""
+    bits = [member(n) for n in range(start + 2 * period)]
+    d = next(
+        d
+        for d in range(1, period + 1)
+        if all(bits[n] == bits[n + d] for n in range(start, start + period))
+    )
+    p = next(
+        p
+        for p in range(start + 1)
+        if all(bits[n] == bits[n + d] for n in range(p, start))
+    )
+    text = ["1" if b else "0" for b in bits]
+    return "".join(text[:p]), "".join(text[p + (i - p) % d] for i in range(d))
+
+
 def fraction_long_division(p, d):
     """(quotient, remainder) of the polynomial p by d over the rationals, as
     Fraction lists lowest degree first, by schoolbook long division."""

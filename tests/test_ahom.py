@@ -206,6 +206,7 @@ _READER_MESSAGES = [
     (parse_rule, "scale(-n,sqrt(2))", "expected integer", 7),
     (parse_rule, "linear(1/2", "expected ')'", 10),
     (parse_rule, "sqrt(2)x", "trailing input after rule", 7),
+    (parse_rule, "sqrt(" + "1" * 5000 + ")", "integer too long", 5),
     (indexset.parse, "per:10", "expected 'pre:'", 0),
     (indexset.parse, "pre:01;px:1", "expected ';per:'", 6),
     (indexset.parse, "pre:0;per:", "period must be nonempty", 10),
@@ -216,7 +217,7 @@ _READER_MESSAGES = [
 @pytest.mark.parametrize(
     "reader, text, message, offset",
     _READER_MESSAGES,
-    ids=[f"{reader.__module__}:{text}" for reader, text, *_ in _READER_MESSAGES],
+    ids=[f"{reader.__module__}:{text[:32]}" for reader, text, *_ in _READER_MESSAGES],
 )
 def test_reader_messages_are_pinned(reader, text, message, offset):
     with pytest.raises(ValueError) as exc:

@@ -1,8 +1,10 @@
 import dataclasses
+import fcntl
 import json
 import os
 import re
 import stat
+import time
 from math import isqrt
 from pathlib import Path
 
@@ -802,3 +804,45 @@ def test_ultra_query_writes_through_a_symlinked_state_path(tmp_path, capsys):
     code, out, _ = run_cli(["ultra", "trace", "--state", str(target)], capsys)
     assert code == 0 and out == target.read_text(encoding="utf-8")
     assert out.splitlines() == ["Accepted pre:;per:10", "Rejected pre:;per:01"]
+
+
+def _multiples_trace(path: Path, top: int) -> bytes:
+    """A state accepting the multiples of 2, 3, ..., top, in that order."""
+    path.write_text(
+        "".join(f"Accepted pre:;per:1{'0' * (k - 1)}\n" for k in range(2, top + 1)),
+        encoding="utf-8",
+    )
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["trace"], ["contains", "pre:;per:10"], ["query", "pre:;per:01"]],
+    ids=["trace", "contains", "query"],
+)
+def test_ultra_meet_over_budget_exits_2(command, tmp_path, capsys):
+    # The multiples of 2..16 meet in 720,720 bits; adding 17 would take
+    # 12,252,240 bits, over the default budget of 2^20.
+    state = tmp_path / "ultra.trace"
+    before = _multiples_trace(state, 19)
+    start = time.perf_counter()
+    code, out, err = run_cli(["ultra", *command, "--state", str(state)], capsys)
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (2, "")
+    assert err == "budget exhausted: meet period would be 12252240 bits, over budget 1048576\n"
+    assert state.read_bytes() == before
+    if command[0] == "query":  # the one command that takes the lock releases it
+        with open(f"{state}.lock", encoding="utf-8") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    # The multiples of 2..10 meet in 2,520 bits: one bit short exits 2, and
+    # exactly enough answers.
+    before = _multiples_trace(state, 10)
+    argv = ["ultra", *command, "--state", str(state), "--budget"]
+    code, out, err = run_cli([*argv, "2519"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "budget exhausted: meet period would be 2520 bits, over budget 2519\n"
+    assert state.read_bytes() == before
+    code, out, err = run_cli([*argv, "2520"], capsys)
+    assert (code, err) == (0, "")
+    expected = {"trace": before.decode(), "contains": "ForcedIn\n", "query": "Rejected\n"}
+    assert out == expected[command[0]]

@@ -8,6 +8,7 @@ from eudoxus.indexset import (
     IndexSet,
     IndexSetSyntaxError,
     complement,
+    difference,
     empty,
     evens,
     format_set,
@@ -20,7 +21,7 @@ from eudoxus.indexset import (
     union,
 )
 
-from oracles import least_period_and_preperiod
+from oracles import least_period_and_preperiod, periodic_set_form
 
 
 def test_membership_examples():
@@ -100,6 +101,37 @@ def test_operations_match_pointwise_semantics():
             assert union(s, t).member(n) == (s.member(n) or t.member(n))
             assert intersect(s, t).member(n) == (s.member(n) and t.member(n))
             assert complement(s).member(n) == (not s.member(n))
+
+
+def _membership(pre: str, period: str):
+    """Membership read straight from raw bit strings, period at absolute phase."""
+    return lambda n: (pre[n] if n < len(pre) else period[n % len(period)]) == "1"
+
+
+def test_operations_match_the_membership_oracle():
+    rng = random.Random(2721)
+
+    def bits(lo: int, hi: int) -> str:
+        return "".join(rng.choice("01") for _ in range(rng.randint(lo, hi)))
+
+    for _ in range(4000):
+        (a, b), (c, d) = (bits(0, 8), bits(1, 12)), (bits(0, 8), bits(1, 12))
+        s, t = IndexSet(a, b), IndexSet(c, d)
+        in_s, in_t = _membership(a, b), _membership(c, d)
+        start, period = max(len(a), len(c)), lcm(len(b), len(d))
+        for got, member in (
+            (union(s, t), lambda n: in_s(n) or in_t(n)),
+            (intersect(s, t), lambda n: in_s(n) and in_t(n)),
+            (difference(s, t), lambda n: in_s(n) and not in_t(n)),
+            (complement(s), lambda n: not in_s(n)),
+        ):
+            assert (got.pre, got.period) == periodic_set_form(member, start, period), (a, b, c, d)
+
+
+def test_bits_are_checked():
+    for pre, period in (("", "012"), ("1 0", "1"), ("", "1\n"), ("\u0661", "0")):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            IndexSet(pre, period)
 
 
 def test_equality_iff_pointwise_agreement():

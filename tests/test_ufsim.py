@@ -6,6 +6,8 @@ from eudoxus import indexset, ufsim
 from eudoxus.indexset import IndexSet, evens, multiples, odds, singleton, union
 from eudoxus.ufsim import (
     Containment,
+    FilterState,
+    MeetOverBudget,
     TraceError,
     Verdict,
     contains,
@@ -38,6 +40,61 @@ def test_query_is_idempotent():
     verdict, after = query(state, evens())
     assert verdict is Verdict.ACCEPTED
     assert after == state
+
+
+def test_repeated_query_is_answered_from_the_log(monkeypatch):
+    rng = random.Random(71)
+    state = fresh_state()
+    for _ in range(200):
+        _, state = query(state, _sample(rng))
+
+    def no_meet(*_):
+        raise AssertionError("a logged set was met again")
+
+    compared = []
+
+    def counted_eq(self, other):
+        compared.append(other)
+        return (self.pre, self.period) == (other.pre, other.period)
+
+    monkeypatch.setattr(indexset, "intersect", no_meet)
+    monkeypatch.setattr(IndexSet, "__eq__", counted_eq)
+    for s, logged in state.log:
+        compared.clear()
+        verdict, after = query(state, IndexSet(s.pre, s.period), budget=1)
+        assert verdict is logged and after is state
+        assert len(compared) <= 1  # one lookup, not a scan of the log
+
+
+def test_an_older_state_keeps_its_own_answers():
+    base = fresh_state()
+    _, with_evens = query(base, evens())
+    _, with_odds = query(base, odds())
+    assert query(with_evens, odds())[0] is Verdict.REJECTED
+    assert query(with_odds, evens())[0] is Verdict.REJECTED
+    assert with_evens.log == ((evens(), Verdict.ACCEPTED),)
+    verdict, again = query(base, odds())
+    assert verdict is Verdict.ACCEPTED and again == with_odds
+    # A state built from a log alone answers from that log.
+    rebuilt = FilterState(with_evens.log, with_evens.meet)
+    assert query(rebuilt, evens()) == (Verdict.ACCEPTED, rebuilt)
+
+
+def test_meet_budget_is_charged_before_the_meet_is_built():
+    _, state = _session()  # the meet is multiples(4)
+    for check in (
+        lambda budget: query(state, multiples(3), budget=budget),
+        lambda budget: contains(state, multiples(3), budget=budget),
+    ):
+        with pytest.raises(MeetOverBudget) as exc:
+            check(11)
+        assert str(exc.value) == "meet period would be 12 bits, over budget 11"
+        check(12)
+    assert query(state, multiples(3), budget=12)[1].meet == multiples(12)
+    entries = list(query(state, multiples(3))[1].log)
+    with pytest.raises(MeetOverBudget):
+        replay(entries, budget=11)
+    assert replay(entries, budget=12) == replay(entries)
 
 
 def test_contains_examples():
