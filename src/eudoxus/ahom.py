@@ -25,10 +25,12 @@ from math import isqrt
 
 class CertificateError(Exception):
     """A certified discrepancy bound was violated; this is a construction bug."""
+    exit_code = 3  # the CLI's exit code: domain error
 
 
 class RuleSyntaxError(ValueError):
     """Malformed rule text; carries the byte offset of the failure."""
+    exit_code = 1  # the CLI's exit code: usage or parse error
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")

@@ -10,58 +10,41 @@ Exit codes: 0 success, 1 usage or parse error, 2 budget exhaustion,
 3 domain or sort error. Output is deterministic: the same invocation against
 the same state file produces byte-identical output. `--json` switches every
 command to a stable envelope {command, result, diagnostics, budget_used}.
+
+The library is imported inside the functions that use it, so a command loads
+only the modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import fcntl
+import importlib
 import json
 import os
-import random
 import re
 import shutil
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
-from fractions import Fraction
-
-from . import ahom, calculus, expr, hyper, indexset, lup, reals, ufsim
-from .ahom import (
-    CertificateError,
-    Compose,
-    FloorLinear,
-    FloorSqrt,
-    IntScale,
-    Neg,
-    RuleSyntaxError,
-    Sum,
-    format_rule,
-    parse_rule,
-    verify_bound,
-)
-from .calculus import derivative_at
-from .expr import (
-    Context,
-    ExprSyntaxError,
-    SortError,
-    typecheck,
-)
-from .hyper import InfiniteElement, PoleAtIndex, RationalSlopeGerm
-from .indexset import IndexSetSyntaxError
-from .lup import LimitFilterSpec, Partition, PartitionError, UndecidableWithinBudget
-from .polyq import fraction_text
-from .reals import EudoxusReal, UndecidedSign, decimal_of_fraction
-from .ufsim import MeetOverBudget, TraceError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_DOMAIN = 3
 
+# Kept readable here for bench/tracer.py; the handlers use the home modules.
+_ELSEWHERE = {"typecheck": "expr", "derivative_at": "calculus", "verify_bound": "ahom"}
+
+
+def __getattr__(name):
+    if name not in _ELSEWHERE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module("." + _ELSEWHERE[name], __package__), name)
+
 
 class ConfigError(ValueError):
-    pass
+    exit_code = EXIT_USAGE
 
 
 @dataclass
@@ -118,9 +101,9 @@ def _read_text(path: str, what: str) -> str:
 # -- expression evaluation ----------------------------------------------------
 
 
-# Each table maps an AST node type to its handler for `expr.fold`. The germ
-# table reaches `hyper` through the module at call time, so wrappers
-# installed on `hyper`'s functions see every call.
+# Each builder returns a table mapping an AST node type to its handler for
+# `expr.fold`. The germ table reaches `hyper` through the module at call
+# time, so wrappers installed on `hyper`'s functions see every call.
 
 
 def _real_power(base, k: int):
@@ -130,6 +113,8 @@ def _real_power(base, k: int):
     gives the smaller certificate.
     """
     if k == 0:
+        from . import reals
+
         return reals.one()
     if k == 1:
         return base
@@ -138,76 +123,84 @@ def _real_power(base, k: int):
     return base.mul(square) if k % 2 else square
 
 
-def _real_ops(budget: int) -> dict:
+def _real_ops(budget: int) -> tuple[dict, dict]:
+    """The real table, and the child order to fold it in."""
+    from . import expr, reals
+
     def quotient(node, right, left):
         try:
             return left.mul(right.recip(budget))
-        except UndecidedSign:
+        except reals.UndecidedSign:
             # Asked only after a failed scan, so a division that succeeds
             # pays nothing for it.
             if _is_exact_zero(node.right):
                 raise ZeroDivisionError("division by zero") from None
             raise
 
-    return {
+    table = {
         expr.IntLit: lambda n: reals.from_rational(n.value, 1),
-        expr.RatLit: lambda n: reals.from_rational(
-            n.value.numerator, n.value.denominator
-        ),
+        expr.RatLit: lambda n: reals.from_rational(*n.value.as_integer_ratio()),
         expr.SqrtInt: lambda n: reals.from_sqrt_int(n.k),
         expr.Add: lambda n, a, b: a.add(b),
         expr.Sub: lambda n, a, b: a.sub(b),
         expr.Mul: lambda n, a, b: a.mul(b),
-        # Children arrive in _REAL_ORDER: the divisor first.
+        # Children arrive in the order below: the divisor first.
         expr.Div: quotient,
         expr.Pow: lambda n, base: _real_power(base, n.exponent),
         expr.St: lambda n, x: x,  # st is the identity on embedded reals
     }
+    # The divisor is evaluated before the dividend, so when both sides hold a
+    # division whose sign scan fails, the divisor's failure is the one reported.
+    return table, {**expr.CHILDREN, expr.Div: ("right", "left")}
 
 
-# The divisor is evaluated before the dividend, so when both sides hold a
-# division whose sign scan fails, the divisor's failure is the one reported.
-_REAL_ORDER = {**expr.CHILDREN, expr.Div: ("right", "left")}
+def _germ_ops() -> dict:
+    from . import expr, hyper
 
-_GERM_OPS = {
-    expr.IntLit: lambda n: hyper.from_real(n.value),
-    expr.RatLit: lambda n: hyper.from_real(n.value),
-    expr.SqrtInt: lambda n: hyper.from_real(expr.exact_int_sqrt(n.k)),
-    expr.Dx: lambda n: hyper.dx(),
-    expr.Omega: lambda n: hyper.omega(),
-    expr.Add: lambda n, a, b: hyper.add(a, b),
-    expr.Sub: lambda n, a, b: hyper.sub(a, b),
-    expr.Mul: lambda n, a, b: hyper.mul(a, b),
-    expr.Div: lambda n, a, b: hyper.div(a, b),
-    expr.Pow: lambda n, x: hyper.pow_(x, n.exponent),
-    expr.St: lambda n, x: hyper.from_real(hyper.standard_part(x)),
-    expr.Classify: lambda n, x: x,
-}
+    return {
+        expr.IntLit: lambda n: hyper.from_real(n.value),
+        expr.RatLit: lambda n: hyper.from_real(n.value),
+        expr.SqrtInt: lambda n: hyper.from_real(expr.exact_int_sqrt(n.k)),
+        expr.Dx: lambda n: hyper.dx(),
+        expr.Omega: lambda n: hyper.omega(),
+        expr.Add: lambda n, a, b: hyper.add(a, b),
+        expr.Sub: lambda n, a, b: hyper.sub(a, b),
+        expr.Mul: lambda n, a, b: hyper.mul(a, b),
+        expr.Div: lambda n, a, b: hyper.div(a, b),
+        expr.Pow: lambda n, x: hyper.pow_(x, n.exponent),
+        expr.St: lambda n, x: hyper.from_real(hyper.standard_part(x)),
+        expr.Classify: lambda n, x: x,
+    }
 
-_RATFN_OPS = {
-    expr.IntLit: lambda n: calculus.constant(n.value),
-    expr.RatLit: lambda n: calculus.constant(n.value),
-    expr.Var: lambda n: calculus.variable(),
-    expr.Add: lambda n, a, b: a + b,
-    expr.Sub: lambda n, a, b: a - b,
-    expr.Mul: lambda n, a, b: a * b,
-    expr.Div: lambda n, a, b: a / b,
-    expr.Pow: lambda n, f: f**n.exponent,
-}
 
-# A real expression whose square roots are all of perfect squares is a
-# rational constant.
-_EXACT_OPS = {
-    **_RATFN_OPS,
-    expr.SqrtInt: lambda n: calculus.constant(expr.exact_int_sqrt(n.k)),
-    expr.St: lambda n, x: x,
-}
+def _ratfn_ops() -> dict:
+    from . import calculus, expr
+
+    return {
+        expr.IntLit: lambda n: calculus.constant(n.value),
+        expr.RatLit: lambda n: calculus.constant(n.value),
+        expr.Var: lambda n: calculus.variable(),
+        expr.Add: lambda n, a, b: a + b,
+        expr.Sub: lambda n, a, b: a - b,
+        expr.Mul: lambda n, a, b: a * b,
+        expr.Div: lambda n, a, b: a / b,
+        expr.Pow: lambda n, f: f**n.exponent,
+    }
 
 
 def _is_exact_zero(node) -> bool:
+    from . import calculus, expr
+
+    # A real expression whose square roots are all of perfect squares is a
+    # rational constant.
+    exact = {
+        **_ratfn_ops(),
+        expr.SqrtInt: lambda n: calculus.constant(expr.exact_int_sqrt(n.k)),
+        expr.St: lambda n, x: x,
+    }
     try:
-        return expr.fold(node, _EXACT_OPS).is_zero()
-    except SortError:  # an irrational sqrt(k) has no exact value
+        return expr.fold(node, exact).is_zero()
+    except expr.SortError:  # an irrational sqrt(k) has no exact value
         return False
 
 
@@ -217,24 +210,28 @@ def _is_exact_zero(node) -> bool:
 
 
 def cmd_digits(args, cfg: Config):
+    from . import expr
+
     precision = cfg.default_precision
     tree = expr.parse(args.expr)
-    typecheck(tree, Context.REAL)
-    value = expr.fold(tree, _real_ops(cfg.budget), _REAL_ORDER)
+    expr.typecheck(tree, expr.Context.REAL)
+    value = expr.fold(tree, *_real_ops(cfg.budget))
     rendered = value.to_decimal(precision)
     index_used = 2 * value.rep.bound * 10 ** (precision + 2)
     return {"value": rendered, "precision": precision}, [rendered], index_used
 
 
 def cmd_hyper_eval(args, cfg: Config):
+    from . import expr, hyper, polyq
+
     tree = expr.parse(args.expr)
-    typecheck(tree, Context.HYPER)
-    value = expr.fold(tree, _GERM_OPS)
+    expr.typecheck(tree, expr.Context.HYPER)
+    value = expr.fold(tree, _germ_ops())
     cls = hyper.classify(value)
     lines = [f"class: {cls.kind.value}"]
     st_text = None
     if cls.st is not None:
-        st_text = fraction_text(cls.st)
+        st_text = polyq.fraction_text(cls.st)
         lines.append(f"st: {st_text}")
     leading = hyper.format_leading_term(value)
     germ_text = hyper.format_germ(value)
@@ -250,17 +247,21 @@ def cmd_hyper_eval(args, cfg: Config):
 
 
 def cmd_derive(args, cfg: Config):
+    from . import calculus, expr, polyq, reals
+
     tree = expr.parse(args.poly)
-    typecheck(tree, Context.DERIVE)
-    fn = expr.fold(tree, _RATFN_OPS)
-    slope = derivative_at(fn, args.at)
-    exact = fraction_text(slope)
-    decimal = decimal_of_fraction(slope, cfg.default_precision)
-    result = {"exact": exact, "decimal": decimal, "at": fraction_text(args.at)}
+    expr.typecheck(tree, expr.Context.DERIVE)
+    fn = expr.fold(tree, _ratfn_ops())
+    slope = calculus.derivative_at(fn, args.at)
+    exact = polyq.fraction_text(slope)
+    decimal = reals.decimal_of_fraction(slope, cfg.default_precision)
+    result = {"exact": exact, "decimal": decimal, "at": polyq.fraction_text(args.at)}
     return result, [exact, decimal], 0
 
 
-def _load_state(path: str, budget: int) -> ufsim.FilterState:
+def _load_state(path: str, budget: int):
+    from . import ufsim
+
     if not os.path.exists(path):
         return ufsim.fresh_state()
     return ufsim.import_trace(_read_text(path, "state file"), budget=budget)
@@ -304,6 +305,8 @@ def _replace_file(path: str, text: str) -> None:
 
 
 def cmd_ultra_query(args, cfg: Config):
+    from . import indexset, ufsim
+
     s = indexset.parse(args.setspec)
     # One lock per real file, and the rename lands on a symlink's target.
     path = os.path.realpath(cfg.state_path)
@@ -316,6 +319,8 @@ def cmd_ultra_query(args, cfg: Config):
 
 
 def cmd_ultra_contains(args, cfg: Config):
+    from . import indexset, ufsim
+
     s = indexset.parse(args.setspec)
     state = _load_state(cfg.state_path, cfg.budget)
     answer = ufsim.contains(state, s, budget=cfg.budget)
@@ -324,22 +329,21 @@ def cmd_ultra_contains(args, cfg: Config):
 
 
 def cmd_ultra_trace(args, cfg: Config):
+    from . import ufsim
+
     lines = ufsim.export_trace(_load_state(cfg.state_path, cfg.budget)).splitlines()
     return {"entries": lines}, lines, 0
 
 
-def _parse_partition(spec: str) -> Partition:
-    chunks = re.split(r";\s*(?=pre:)", spec.strip())
-    classes = tuple(indexset.parse(chunk.strip()) for chunk in chunks)
-    return Partition(classes)
-
-
 def cmd_lup_check(args, cfg: Config):
+    from . import expr, indexset, lup
+
     tree = expr.parse(args.expr)
-    typecheck(tree, Context.HYPER)
-    value = expr.fold(tree, _GERM_OPS)
-    partition = _parse_partition(args.partition)
-    admissible = lup.is_admissible(value, LimitFilterSpec((partition,)))
+    expr.typecheck(tree, expr.Context.HYPER)
+    value = expr.fold(tree, _germ_ops())
+    chunks = re.split(r";\s*(?=pre:)", args.partition.strip())
+    partition = lup.Partition(tuple(indexset.parse(c.strip()) for c in chunks))
+    admissible = lup.is_admissible(value, lup.LimitFilterSpec((partition,)))
     text = "admissible" if admissible else "not admissible"
     result = {"admissible": admissible, "classes": len(partition.classes)}
     return result, [text], 0
@@ -347,11 +351,14 @@ def cmd_lup_check(args, cfg: Config):
 
 # -- selftest -------------------------------------------------------------------
 #
-# Each suite yields one item per check: whether it passed, then the failure
-# messages to report if it did not.
+# Each suite takes the shared `random.Random` and yields one item per check:
+# whether it passed, then the failure messages to report if it did not.
 
 
-def _suite_kernel(rng: random.Random):
+def _suite_kernel(rng):
+    from . import ahom
+    from .ahom import Compose, FloorLinear, FloorSqrt, IntScale, Neg, Sum
+
     nodes = [
         FloorLinear(3, 7),
         FloorLinear(-22, 7),
@@ -366,9 +373,9 @@ def _suite_kernel(rng: random.Random):
     for _ in range(4):
         nodes.append(FloorLinear(rng.randint(-20, 20), rng.randint(1, 20)))
     for f in nodes:
-        text = format_rule(f)
-        yield verify_bound(f, 30).ok, f"certificate violated for {text}"
-        yield parse_rule(text) == f, f"serialization round trip failed for {text}"
+        text = ahom.format_rule(f)
+        yield ahom.verify_bound(f, 30).ok, f"certificate violated for {text}"
+        yield ahom.parse_rule(text) == f, f"serialization round trip failed for {text}"
     lin = FloorLinear(3, 5)
     for p in range(-25, 26):
         for q in range(-25, 26):
@@ -380,8 +387,12 @@ def _suite_kernel(rng: random.Random):
         yield root.eval(-a) == -root.eval(a), f"odd symmetry failed at {a}"
 
 
-def _suite_reals(rng: random.Random):
-    def sample() -> EudoxusReal:
+def _suite_reals(rng):
+    from fractions import Fraction
+
+    from . import reals
+
+    def sample() -> reals.EudoxusReal:
         if rng.random() < 0.5:
             return reals.from_rational(rng.randint(-50, 50), rng.randint(1, 50))
         return reals.from_sqrt_int(rng.randint(0, 20))
@@ -425,7 +436,9 @@ def _suite_reals(rng: random.Random):
         yield error <= Fraction(x.rep.bound, 2**depth), "slope error bound violated"
 
 
-def _suite_indexsets(rng: random.Random):
+def _suite_indexsets(rng):
+    from . import indexset
+
     def sample() -> indexset.IndexSet:
         pre = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
         per = "".join(rng.choice("01") for _ in range(rng.randint(1, 6)))
@@ -447,7 +460,9 @@ def _suite_indexsets(rng: random.Random):
     yield indexset.parse("pre:;per:10") == indexset.evens(), "parse of evens failed"
 
 
-def _suite_ultrafilter(rng: random.Random):
+def _suite_ultrafilter(rng):
+    from . import indexset, ufsim
+
     state = ufsim.fresh_state()
     for _ in range(300):
         pre = "".join(rng.choice("01") for _ in range(rng.randint(0, 4)))
@@ -469,13 +484,15 @@ def _suite_ultrafilter(rng: random.Random):
     )
 
 
-def _suite_germs(rng: random.Random):
-    def sample() -> RationalSlopeGerm:
+def _suite_germs(rng):
+    from . import hyper
+
+    def sample() -> hyper.RationalSlopeGerm:
         num = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 4)))
         den = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 4)))
         if not any(den):
             den = (1,)
-        return RationalSlopeGerm(num, den)
+        return hyper.RationalSlopeGerm(num, den)
 
     for _ in range(60):
         x, y, z = sample(), sample(), sample()
@@ -489,7 +506,12 @@ def _suite_germs(rng: random.Random):
     yield d * hyper.omega() == hyper.from_real(1), "dx * omega is not 1"
 
 
-def _suite_derivatives(rng: random.Random):
+def _suite_derivatives(rng):
+    from fractions import Fraction
+
+    from . import calculus
+    from .calculus import derivative_at
+
     cases = [
         (calculus.from_coeffs((0, 0, 1)), Fraction(3), Fraction(6)),
         (calculus.from_coeffs((0, -2, 0, 1)), Fraction(2), Fraction(10)),
@@ -513,9 +535,11 @@ def _suite_derivatives(rng: random.Random):
         yield lhs == rhs, "product rule failed"
 
 
-def _suite_admissibility(rng: random.Random):
-    half = Partition((indexset.evens(), indexset.odds()))
-    spec = LimitFilterSpec((half,))
+def _suite_admissibility(rng):
+    from . import hyper, indexset, lup, reals
+
+    half = lup.Partition((indexset.evens(), indexset.odds()))
+    spec = lup.LimitFilterSpec((half,))
     yield lup.is_admissible(hyper.from_real(7), spec), "constant germ not admissible"
     yield not lup.is_admissible(hyper.dx(), spec), (
         "dx admissible for a finite partition"
@@ -530,14 +554,16 @@ def _suite_admissibility(rng: random.Random):
     yield lup.restricted_closure_check(elements, spec).ok, "closure check failed"
 
 
-def _suite_parser(rng: random.Random):
+def _suite_parser(rng):
+    from . import expr
+
     alphabet = "0123456789+-*/^()sqrtdxomegastclassify @#"
     for _ in range(200):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
         try:
             expr.parse(text)
             ok, message = True, ""
-        except ExprSyntaxError as exc:
+        except expr.ExprSyntaxError as exc:
             ok, message = exc.offset <= len(text), "error offset past end of input"
         except Exception as exc:  # noqa: BLE001 - the point of the fuzz
             ok, message = False, f"parser raised {type(exc).__name__} on {text!r}"
@@ -559,9 +585,10 @@ _SUITES = (
 
 
 def cmd_selftest(args, cfg: Config):
+    import random
+
     rng = random.Random(20250801)
-    total_checks = 0
-    total_failures = 0
+    total_checks = total_failures = 0
     lines = []
     suites_json = []
     for name, suite in _SUITES:
@@ -572,8 +599,7 @@ def cmd_selftest(args, cfg: Config):
         total_failures += len(failures)
         status = "PASS" if not failures else "FAIL"
         lines.append(f"{name}: {status} ({checks} checks)")
-        for failure in failures:
-            lines.append(f"  - {failure}")
+        lines.extend(f"  - {failure}" for failure in failures)
         suites_json.append(
             {"name": name, "status": status, "checks": checks, "failures": failures}
         )
@@ -595,7 +621,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):  # argparse would let 1/0 escape
@@ -672,29 +700,15 @@ def main(argv=None) -> int:
                 setattr(cfg, key, value)
         handler = globals()["cmd_" + args.words.replace(" ", "_")]
         result, lines, budget_used = handler(args, cfg)
-    except (
-        ExprSyntaxError,
-        IndexSetSyntaxError,
-        RuleSyntaxError,
-        PartitionError,
-        ConfigError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (UndecidedSign, MeetOverBudget) as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (
-        SortError,
-        ZeroDivisionError,
-        PoleAtIndex,
-        InfiniteElement,
-        TraceError,
-        UndecidableWithinBudget,
-        CertificateError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except Exception as exc:
+        # A user error carries `exit_code`; a bare ZeroDivisionError is a domain error.
+        default = EXIT_DOMAIN if isinstance(exc, ZeroDivisionError) else None
+        code = getattr(exc, "exit_code", default)
+        if code is None:
+            raise
+        prefix = "budget exhausted" if code == EXIT_BUDGET else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     if args.json:
         envelope = {
             "command": args.words,

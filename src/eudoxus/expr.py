@@ -35,6 +35,7 @@ from math import isqrt
 
 class ExprSyntaxError(ValueError):
     """Parse failure with byte offset and the set of expected tokens."""
+    exit_code = 1  # the CLI's exit code: usage or parse error
 
     def __init__(self, message: str, offset: int, expected: tuple[str, ...] = ()):
         detail = f"{message} (offset {offset})"
@@ -47,6 +48,7 @@ class ExprSyntaxError(ValueError):
 
 class SortError(Exception):
     """The expression is well-formed but lives in the wrong value tier."""
+    exit_code = 3  # the CLI's exit code: domain error
 
 
 class VarOutsideDerive(SortError):

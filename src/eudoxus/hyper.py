@@ -29,6 +29,7 @@ from .ufsim import FilterState, Verdict
 
 class PoleAtIndex(ValueError):
     """The component slope is undefined at this index (denominator root)."""
+    exit_code = 3  # the CLI's exit code: domain error
 
     def __init__(self, n: int):
         super().__init__(f"pole at index {n}")
@@ -37,6 +38,7 @@ class PoleAtIndex(ValueError):
 
 class InfiniteElement(ValueError):
     """Standard part requested for an infinite element."""
+    exit_code = 3  # the CLI's exit code: domain error
 
 
 class RationalSlopeGerm(polyq.RatFun):

@@ -31,6 +31,7 @@ from math import lcm
 
 class IndexSetSyntaxError(ValueError):
     """Malformed set spec; carries the byte offset of the failure."""
+    exit_code = 1  # the CLI's exit code: usage or parse error
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -166,6 +167,7 @@ def difference(s: IndexSet, t: IndexSet) -> IndexSet:
 
 class PartitionError(ValueError):
     """The classes do not form a disjoint cover of the index line."""
+    exit_code = 1  # the CLI's exit code: usage or parse error
 
 
 def check_partition(classes) -> None:

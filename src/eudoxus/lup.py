@@ -23,6 +23,7 @@ from .reals import certified_equal
 
 class UndecidableWithinBudget(Exception):
     """Per-class equality could not be certified either way."""
+    exit_code = 3  # the CLI's exit code: domain error
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .polyq import int_text
 
 class UndecidedSign(Exception):
     """The sign scan exhausted its budget; carries the certified radius."""
+    exit_code = 2  # the CLI's exit code: budget exhausted
 
     def __init__(self, eps: Fraction, budget: int):
         super().__init__(

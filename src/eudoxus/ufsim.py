@@ -31,6 +31,7 @@ from .indexset import IndexSet
 
 class TraceError(ValueError):
     """Malformed or inconsistent trace; carries the 1-based line number."""
+    exit_code = 3  # the CLI's exit code: domain error
 
     def __init__(self, message: str, line: int):
         super().__init__(f"{message} (line {line})")
@@ -39,6 +40,7 @@ class TraceError(ValueError):
 
 class MeetOverBudget(Exception):
     """Meeting a set with the running meet would build a period over budget."""
+    exit_code = 2  # the CLI's exit code: budget exhausted
 
     def __init__(self, length: int, budget: int):
         super().__init__(

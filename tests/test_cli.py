@@ -5,12 +5,13 @@ import os
 import re
 import stat
 import time
+from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
 import pytest
 
-from eudoxus import ahom, cli, reals
+from eudoxus import ahom, calculus, cli, expr, hyper, indexset, lup, polyq, reals, ufsim
 from eudoxus.cli import _real_power, main
 from eudoxus.expr import MAX_NESTING
 
@@ -846,3 +847,49 @@ def test_ultra_meet_over_budget_exits_2(command, tmp_path, capsys):
     assert (code, err) == (0, "")
     expected = {"trace": before.decode(), "contains": "ForcedIn\n", "query": "Rejected\n"}
     assert out == expected[command[0]]
+
+
+# Every error class `main` maps, with its exit code; subclasses keep the code
+# of the class they derive from.
+_EXIT_CODES = [
+    (expr.ExprSyntaxError, ("unexpected token", 3), 1),
+    (indexset.IndexSetSyntaxError, ("expected 'pre:'", 0), 1),
+    (ahom.RuleSyntaxError, ("expected rule name", 0), 1),
+    (indexset.PartitionError, ("classes overlap",), 1),
+    (cli.ConfigError, ("unknown key",), 1),
+    (reals.UndecidedSign, (Fraction(1, 8), 64), 2),
+    (ufsim.MeetOverBudget, (720720, 4096), 2),
+    (expr.SortError, ("hyperreal in a real context",), 3),
+    (expr.VarOutsideDerive, ("x outside derive",), 3),
+    (ZeroDivisionError, ("division by zero",), 3),
+    (polyq.DivisionByZeroGerm, ("division by the zero germ",), 3),
+    (calculus.SubstitutionPole, ("pole at x = 0",), 3),
+    (hyper.PoleAtIndex, (2,), 3),
+    (hyper.InfiniteElement, ("infinite element",), 3),
+    (ufsim.TraceError, ("bad verdict", 1), 3),
+    (lup.UndecidableWithinBudget, ("undecided",), 3),
+    (ahom.CertificateError, ("bound violated",), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "error, args, code", _EXIT_CODES, ids=[e.__name__ for e, _, _ in _EXIT_CODES]
+)
+def test_each_error_class_exits_with_its_code(error, args, code, capsys, monkeypatch):
+    exc = error(*args)
+
+    def failing(args, cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_digits", failing)
+    prefix = "budget exhausted" if code == 2 else "error"
+    assert run_cli(["digits", "1"], capsys) == (code, "", f"{prefix}: {exc}\n")
+
+
+def test_an_unmapped_error_propagates_out_of_main(monkeypatch):
+    def failing(args, cfg):
+        raise RuntimeError("not a user error")
+
+    monkeypatch.setattr(cli, "cmd_digits", failing)
+    with pytest.raises(RuntimeError, match="not a user error"):
+        main(["digits", "1"])
