@@ -8,9 +8,10 @@ non-principal ultrafilter agrees. Classification into zero / infinitesimal /
 appreciable / infinite reads off the degree gap and leading coefficients.
 
 The general tier is a rescaling: an arbitrary rule from indices to reals of
-the certified catalogue. Equality there genuinely depends on the ultrafilter,
-so it is decided through the simulator when the agreement pattern has an
-eventually periodic certificate, and reported as merely empirical otherwise.
+the certified catalogue. Equality there genuinely depends on the ultrafilter.
+A piecewise rule has an exact agreement set, decided through the simulator
+when every meeting value pair is certified; an opaque rule is only sampled,
+so its equality is reported as empirical, never certified.
 """
 
 from __future__ import annotations
@@ -208,20 +209,19 @@ class PiecewiseRescaling:
                 return v
         raise AssertionError("pieces cover the index line")
 
-    def _combine(self, other: "PiecewiseRescaling", op):
-        out = []
+    def cells(self, pieces):
+        """(s & t, v, w) for each (s, v) in self and (t, w) in `pieces` that meet."""
         for s, v in self.pieces:
-            for t, w in other.pieces:
+            for t, w in pieces:
                 cell = indexset.intersect(s, t)
                 if cell != indexset.empty():
-                    out.append((cell, op(v, w)))
-        return PiecewiseRescaling(tuple(out))
+                    yield cell, v, w
 
     def add(self, other: "PiecewiseRescaling") -> "PiecewiseRescaling":
-        return self._combine(other, lambda a, b: a.add(b))
+        return piecewise((c, v.add(w)) for c, v, w in self.cells(other.pieces))
 
     def mul(self, other: "PiecewiseRescaling") -> "PiecewiseRescaling":
-        return self._combine(other, lambda a, b: a.mul(b))
+        return piecewise((c, v.mul(w)) for c, v, w in self.cells(other.pieces))
 
 
 def constant_rescaling(x: EudoxusReal) -> PiecewiseRescaling:
@@ -248,49 +248,41 @@ class CertifiedUnequal:
 @dataclass(frozen=True)
 class Empirical:
     agreement_fraction: Fraction
-    window: int
 
 
-def eq_mod_filter(
-    x,
-    y,
-    state: FilterState,
-    window: int = 48,
-    certificate: Optional[IndexSet] = None,
-):
+SAMPLED = 49  # indices 0..48 are all that is seen of an opaque rescaling
+
+
+def eq_mod_filter(x, y, state: FilterState):
     """Equality of two rescalings modulo the simulated ultrafilter.
 
-    Computes per-index equality verdicts for indices 0..window. When every
-    verdict is exact (catalogue slope extraction or a certified window
-    refutation) and the pattern is eventually periodic - matching a supplied
-    certificate or found by `indexset.eventually_periodic` with period and
-    preperiod at most window // 3 - the agreement set is routed through the
-    simulator for a Certified verdict. Anything else is reported as
-    Empirical, never guessed.
+    By Los's theorem x = y exactly when the agreement set {n : x_n = y_n} is
+    in the ultrafilter. For piecewise rescalings that set is exact: the union
+    of the cells of meeting pieces whose values are certified equal. When
+    every meeting pair is certified either way, the set is queried and the
+    verdict is Certified. Otherwise the report is Empirical: the density of
+    the cells not certified unequal over one period, or for an opaque rule,
+    which is never Certified, the share of indices 0..SAMPLED-1.
 
     Returns (verdict, updated filter state).
     """
-    agree: list[bool] = []
-    decisive = True
-    for n in range(window + 1):
-        a, b = x.component(n), y.component(n)
-        v = certified_equal(a, b)
-        if v is None:
-            decisive = False
-            v = a.equals_within(b, 32)
-        agree.append(v)
+    if not (isinstance(x, PiecewiseRescaling) and isinstance(y, PiecewiseRescaling)):
+        agree = sum(
+            certified_equal(x.component(n), y.component(n)) is not False
+            for n in range(SAMPLED)
+        )
+        return Empirical(Fraction(agree, SAMPLED)), state
 
-    if certificate is not None and all(
-        certificate.member(n) == v for n, v in enumerate(agree)
-    ):
-        pattern = certificate
-    else:
-        pattern = indexset.eventually_periodic(agree, max(1, window // 3))
-
-    if decisive and pattern is not None:
-        verdict, state = ufsim.query(state, pattern)
-        if verdict is Verdict.ACCEPTED:
-            return CertifiedEqual(pattern), state
-        return CertifiedUnequal(pattern), state
-    fraction = Fraction(sum(agree), window + 1)
-    return Empirical(fraction, window), state
+    agreement, decided = indexset.empty(), True
+    for cell, v, w in x.cells(y.pieces):
+        same = certified_equal(v, w)
+        decided = decided and same is not None
+        if same is not False:
+            agreement = indexset.union(agreement, cell)
+    if not decided:
+        density = Fraction(agreement.period.count("1"), len(agreement.period))
+        return Empirical(density), state
+    verdict, state = ufsim.query(state, agreement)
+    if verdict is Verdict.ACCEPTED:
+        return CertifiedEqual(agreement), state
+    return CertifiedUnequal(agreement), state

@@ -109,6 +109,8 @@ def odds() -> IndexSet:
 
 
 def singleton(n: int) -> IndexSet:
+    if n < 0:
+        raise ValueError("indices are natural numbers")
     return IndexSet("0" * n + "1", "0")
 
 
@@ -116,20 +118,6 @@ def multiples(k: int) -> IndexSet:
     if k < 1:
         raise ValueError("modulus must be positive")
     return IndexSet("", "1" + "0" * (k - 1))
-
-
-def eventually_periodic(bits, limit: int) -> IndexSet | None:
-    """The set whose first len(bits) members are the booleans `bits`, with the
-    least period d, then the least preperiod p, such that d, p <= limit and
-    p + 2*d <= len(bits); None if there is none. The bits are d-periodic from
-    p exactly when every mismatch bits[n] != bits[n + d] has n < p."""
-    s = "".join("1" if b else "0" for b in bits)
-    for d in range(1, limit + 1):
-        p = max((n + 1 for n in range(len(s) - d) if s[n] != s[n + d]), default=0)
-        if p <= limit and p + 2 * d <= len(s):
-            start = -(-p // d) * d  # a multiple of d puts the period at absolute phase
-            return IndexSet(s[:start], s[start : start + d])
-    return None
 
 
 def _prefix(s: IndexSet, n: int) -> int:

@@ -58,7 +58,7 @@ def common_refinement(partitions) -> Partition:
 def _values_on_class(x, cls: IndexSet):
     """Distinct component values an element takes on a class (with evidence)."""
     if isinstance(x, PiecewiseRescaling):
-        return [v for s, v in x.pieces if indexset.intersect(s, cls) != indexset.empty()]
+        return [v for _, v, _ in x.cells(((cls, None),))]
     if cls.is_finite():
         return [x.component(n) for n in cls.members_if_finite()]
     raise UndecidableWithinBudget(
@@ -113,7 +113,7 @@ def restricted_closure_check(xs, spec: LimitFilterSpec, rng=None) -> ClosureRepo
     for i, x in enumerate(xs):
         if not is_admissible(x, spec):
             raise ValueError(f"element {i} is not admissible; precondition violated")
-    if rng is None:
+    if rng is None or not xs:
         pairs = list(itertools.combinations(range(len(xs)), 2))
     else:
         pairs = [

@@ -224,6 +224,8 @@ def one() -> EudoxusReal:
 # window violation gives a sound inequality decision; everything else is
 # honestly undecided (None).
 
+REFUTATION_WINDOW = 64  # the window certified_equal searches for a violation
+
 
 def _squarefree(k: int) -> tuple[int, int]:
     """Split k = s^2 * m with m squarefree; returns (s, m)."""
@@ -284,13 +286,13 @@ def exact_slope(f: AlmostHom):
     return None
 
 
-def certified_equal(x: EudoxusReal, y: EudoxusReal, window: int = 64):
+def certified_equal(x: EudoxusReal, y: EudoxusReal):
     """Three-valued equality: True/False when certified, None when undecided."""
     if x.rep == y.rep:
         return True
     sx, sy = exact_slope(x.rep), exact_slope(y.rep)
     if sx is not None and sy is not None:
         return sx == sy
-    if not x.equals_within(y, window):
+    if not x.equals_within(y, REFUTATION_WINDOW):
         return False
     return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 
 
 def bisect_isqrt(n: int) -> int:
@@ -161,20 +161,6 @@ def least_reaching(f, p: int) -> int:
     return a
 
 
-def least_period_and_preperiod(bits, limit: int):
-    """(d, p) with d least, then p least, such that d, p <= limit,
-    p + 2*d <= len(bits), and every bit from index p on equals the bit at the
-    same phase in bits[p:p + d]; None when no pair qualifies. A brute force
-    over every (d, p)."""
-    for d in range(1, limit + 1):
-        for p in range(limit + 1):
-            if p + 2 * d <= len(bits) and all(
-                bits[n] == bits[p + (n - p) % d] for n in range(p, len(bits))
-            ):
-                return d, p
-    return None
-
-
 def periodic_set_form(member, start: int, period: int) -> tuple[str, str]:
     """The canonical (pre, period) bit strings of the set {n : member(n)},
     given that membership repeats with `period` from index `start` on: the
@@ -196,6 +182,22 @@ def periodic_set_form(member, start: int, period: int) -> tuple[str, str]:
     )
     text = ["1" if b else "0" for b in bits]
     return "".join(text[:p]), "".join(text[p + (i - p) % d] for i in range(d))
+
+
+def agreement_form(x, y, agree) -> tuple[str, str]:
+    """The canonical (pre, period) bit strings of {n : agree(x_n, y_n)} for
+    two piecewise rules, each given as the (pre, period) lists of the exact
+    values it takes, the period at absolute phase. A brute force over the
+    first max pre + 2 * lcm indices, through `periodic_set_form`."""
+
+    def at(rule, n):
+        pre, period = rule
+        return pre[n] if n < len(pre) else period[n % len(period)]
+
+    start = max(len(x[0]), len(y[0]))
+    return periodic_set_form(
+        lambda n: agree(at(x, n), at(y, n)), start, lcm(len(x[1]), len(y[1]))
+    )
 
 
 def fraction_long_division(p, d):

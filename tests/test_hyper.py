@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -30,9 +31,10 @@ from eudoxus.hyper import (
     realize_component,
     standard_part,
 )
+from eudoxus.indexset import IndexSet
 from eudoxus.reals import from_rational, from_sqrt_int
 
-from oracles import interpolate_ratfn
+from oracles import agreement_form, interpolate_ratfn
 
 
 def test_dx_examples():
@@ -262,21 +264,6 @@ def test_eq_mod_filter_certified_unequal_after_commitment():
     assert isinstance(verdict, CertifiedUnequal)
 
 
-def test_eq_mod_filter_supplied_certificate():
-    x = piecewise(
-        (
-            (indexset.evens(), from_sqrt_int(2)),
-            (indexset.odds(), from_rational(0, 1)),
-        )
-    )
-    y = constant_rescaling(from_sqrt_int(2))
-    verdict, _ = eq_mod_filter(
-        x, y, ufsim.fresh_state(), certificate=indexset.evens()
-    )
-    assert isinstance(verdict, CertifiedEqual)
-    assert verdict.agreement == indexset.evens()
-
-
 def test_eq_mod_filter_empirical_when_not_certifiable():
     blurry = from_sqrt_int(2).add(from_sqrt_int(3))
     close = from_rational(3146264369941973, 10**15)
@@ -285,3 +272,92 @@ def test_eq_mod_filter_empirical_when_not_certifiable():
     verdict, _ = eq_mod_filter(x, y, ufsim.fresh_state())
     assert isinstance(verdict, Empirical)
     assert 0 <= verdict.agreement_fraction <= 1
+
+
+def test_eq_mod_filter_agreement_changing_past_index_48():
+    s = IndexSet("", "1" * 49 + "0")
+    x = piecewise(((s, from_sqrt_int(2)), (indexset.complement(s), from_sqrt_int(3))))
+    y = constant_rescaling(from_sqrt_int(2))
+    _, state = ufsim.query(ufsim.fresh_state(), indexset.complement(s))
+    verdict, state = eq_mod_filter(x, y, state)
+    assert verdict == CertifiedUnequal(s)
+    assert ufsim.contains(state, verdict.agreement) is ufsim.Containment.FORCED_OUT
+
+
+def test_eq_mod_filter_opaque_rescaling_is_never_certified():
+    state = ufsim.fresh_state()
+    root2 = hyper.GeneralRescaling(lambda n: from_sqrt_int(2))
+    assert eq_mod_filter(root2, root2, state) == (Empirical(Fraction(1)), state)
+    # Of indices 0..48 the 24 odd ones agree with the constant 1.
+    parity = hyper.GeneralRescaling(lambda n: from_rational(n % 2, 1))
+    one = constant_rescaling(from_rational(1, 1))
+    assert eq_mod_filter(parity, one, state) == (Empirical(Fraction(24, 49)), state)
+
+
+# Representations of each exact value, by label. "blur" and "near" differ,
+# but no certificate can tell them apart.
+_REPRESENTATIONS = {
+    "2": (from_rational(2, 1), from_sqrt_int(4)),
+    "sqrt2": (from_sqrt_int(2),),
+    "3/2": (from_rational(3, 2),),
+    "blur": (from_sqrt_int(2).add(from_sqrt_int(3)),),
+    "near": (from_rational(3146264369941973, 10**15),),
+}
+
+
+def _random_rule(rng: random.Random, labels):
+    """A piecewise rescaling with preperiod 0-5 and period 1-60, and the
+    (pre, period) lists of the labels of its values."""
+    pre = [rng.choice(labels) for _ in range(rng.randint(0, 5))]
+    period = [rng.choice(labels) for _ in range(rng.randint(1, 60))]
+
+    def bits(seq, label):
+        return "".join("1" if v == label else "0" for v in seq)
+
+    rule = piecewise(
+        (IndexSet(bits(pre, v), bits(period, v)), rng.choice(_REPRESENTATIONS[v]))
+        for v in sorted(set(pre + period))
+    )
+    return (pre, period), rule
+
+
+def _random_set(rng: random.Random) -> IndexSet:
+    pre = "".join(rng.choice("01") for _ in range(rng.randint(0, 3)))
+    return IndexSet(pre, "".join(rng.choice("01") for _ in range(rng.randint(1, 12))))
+
+
+def test_eq_mod_filter_matches_brute_force_agreement():
+    rng = random.Random(1212)
+    seen = []
+    for case in range(150):
+        labels = ["2", "sqrt2", "3/2"] + (["blur", "near"] if case % 3 == 0 else [])
+        (xl, x), (yl, y) = _random_rule(rng, labels), _random_rule(rng, labels)
+        exact = agreement_form(xl, yl, operator.eq)
+        priors = [_random_set(rng) for _ in range(rng.randint(0, 3))]
+        if case % 2:  # commit to the disagreement set first, as in the repro
+            priors.insert(0, indexset.complement(IndexSet(*exact)))
+        state = ufsim.fresh_state()
+        for prior in priors:
+            _, state = ufsim.query(state, prior)
+        verdict, after = eq_mod_filter(x, y, state)
+        possible = agreement_form(
+            xl, yl, lambda a, b: a == b or {a, b} == {"blur", "near"}
+        )
+        seen.append(type(verdict))
+        if possible != exact:
+            # Some meeting pair is undecided: the density of the cells not
+            # certified unequal, and no commitment.
+            period = possible[1]
+            assert verdict == Empirical(Fraction(period.count("1"), len(period)))
+            assert after == state
+            continue
+        agreement = IndexSet(*exact)
+        accepted, expected = ufsim.query(state, agreement)
+        if accepted is ufsim.Verdict.ACCEPTED:
+            assert verdict == CertifiedEqual(agreement)
+            assert ufsim.contains(after, agreement) is ufsim.Containment.FORCED_IN
+        else:
+            assert verdict == CertifiedUnequal(agreement)
+            assert ufsim.contains(after, agreement) is ufsim.Containment.FORCED_OUT
+        assert after == expected
+    assert {CertifiedEqual, CertifiedUnequal, Empirical} <= set(seen)

@@ -3,7 +3,6 @@ from math import lcm
 
 import pytest
 
-from eudoxus import indexset
 from eudoxus.indexset import (
     IndexSet,
     IndexSetSyntaxError,
@@ -21,7 +20,7 @@ from eudoxus.indexset import (
     union,
 )
 
-from oracles import least_period_and_preperiod, periodic_set_form
+from oracles import periodic_set_form
 
 
 def test_membership_examples():
@@ -155,40 +154,6 @@ def test_classification_predicates():
     assert not odds().is_cofinite()
 
 
-def _planted(rng: random.Random, length: int) -> list[bool]:
-    pre = [rng.random() < 0.5 for _ in range(rng.randint(0, 8))]
-    period = [rng.random() < 0.5 for _ in range(rng.randint(1, 8))]
-    phase = rng.randrange(len(period))
-    tail = [period[(phase + n) % len(period)] for n in range(length)]
-    return (pre + tail)[:length]
-
-
-def test_eventually_periodic_matches_brute_force():
-    rng = random.Random(77)
-    nones = 0
-    for case in range(3000):
-        length = rng.randint(4, 49)
-        if case % 3:
-            bits = _planted(rng, length)
-        else:
-            bits = [rng.random() < 0.5 for _ in range(length)]
-        limit = rng.choice([max(1, (length - 1) // 3), rng.randint(1, length)])
-        found = indexset.eventually_periodic(bits, limit)
-        expected = least_period_and_preperiod(bits, limit)
-        if expected is None:
-            assert found is None, (bits, limit)
-            nones += 1
-            continue
-        d, p = expected
-        assert (len(found.period), len(found.pre)) == (d, p), (bits, limit)
-        assert [found.member(n) for n in range(length)] == bits
-    assert 100 < nones < 2900
-
-
-def test_eventually_periodic_examples():
-    bits = [n % 3 == 1 for n in range(12)]
-    assert indexset.eventually_periodic(bits, 4) == IndexSet("", "010")
-    # Preperiod 3, period 2: the period is read at absolute phase.
-    bits = [False] * 3 + [n % 2 == 0 for n in range(3, 10)]
-    assert indexset.eventually_periodic(bits, 3) == IndexSet("000", "10")
-    assert indexset.eventually_periodic([True, False, False, True], 1) is None
+def test_singleton_rejects_negative_index():
+    with pytest.raises(ValueError, match="natural numbers"):
+        singleton(-3)

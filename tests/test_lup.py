@@ -131,6 +131,12 @@ def test_closure_check_on_germs_uses_hyper_arithmetic(monkeypatch):
     assert calls == ["add", "mul"]
 
 
+def test_closure_check_of_no_elements_with_or_without_rng():
+    spec = LimitFilterSpec((_halves(),))
+    report = restricted_closure_check([], spec, rng=random.Random(3))
+    assert report == restricted_closure_check([], spec) == lup.ClosureReport(0, ())
+
+
 def test_closure_check_rejects_inadmissible_input():
     spec = LimitFilterSpec((_halves(),))
     with pytest.raises(ValueError):
