@@ -1,4 +1,4 @@
-"""Tokenizer, parser and two-sorted type checker for the CLI expressions.
+"""Tokenizer, parser and sort checker for the CLI expressions.
 
 Grammar (normative for the command line):
 
@@ -15,13 +15,12 @@ are exact in both value tiers. Nesting of '(', 'st(' and 'classify(' is
 capped at MAX_NESTING levels, and a literal longer than the interpreter
 converts from text is a syntax error.
 
-Every walk over a tree (sort checking, formatting, and the CLI's evaluators)
-is one `fold` with a table of per-node-type handlers.
-
-Sorts: Real (exact reals), Hyper (germs), Poly (derivative bodies). Real
-promotes to Hyper in mixed nodes; `x` is only meaningful in a derivative
-body; `dx`/`omega` force Hyper and are rejected in a Real context such as a
-digits query.
+An expression is read in one of three contexts: REAL (a digits query over
+exact reals), HYPER (a query over hyperreal germs) and DERIVE (a derivative
+body in `x`). `dx`/`omega` exist only in HYPER and `x` only in DERIVE, and
+the first node in reading order that its context rejects is the error
+reported. Evaluation and formatting are each one `fold` with a table of
+per-node-type handlers; checking is one walk that stops at that first error.
 """
 
 from __future__ import annotations
@@ -326,19 +325,13 @@ def fold(tree, table, order=CHILDREN):
     return values[0]
 
 
-# -- sorts --------------------------------------------------------------------
+# -- sort checking ------------------------------------------------------------
 
 
 class Context(enum.Enum):
     REAL = "real"
     HYPER = "hyper"
     DERIVE = "derive"
-
-
-class Sort(enum.Enum):
-    REAL = "Real"
-    HYPER = "Hyper"
-    POLY = "Poly"
 
 
 def exact_int_sqrt(k: int) -> int:
@@ -353,76 +346,40 @@ def exact_int_sqrt(k: int) -> int:
     return root
 
 
-def typecheck(node, ctx: Context) -> Sort:
-    """Sort of the expression in the given context, or a SortError.
+# The contexts that admit each restricted node kind, and its error elsewhere.
+_NOT_DERIVE = (Context.REAL, Context.HYPER)
+_ADMITTED = {
+    Dx: ((Context.HYPER,), SortError, "dx only exists in the hyperreal context"),
+    Omega: ((Context.HYPER,), SortError, "omega only exists in the hyperreal context"),
+    Var: (
+        (Context.DERIVE,), VarOutsideDerive, "x is only meaningful in a derivative body"
+    ),
+    SqrtInt: (_NOT_DERIVE, SortError, "sqrt(...) is not allowed in a derivative body"),
+    St: (_NOT_DERIVE, SortError, "st(...) is not allowed in a derivative body"),
+    Classify: (
+        (), SortError, "classify(...) is only allowed as the outermost hyperreal query"
+    ),
+}
 
-    `classify(...)` is a reporting form: it is accepted only as the outermost
-    node of a hyperreal query. Each subtree folds to its sort or to its first
-    error in reading order, where `st(`/`classify(` come before their
-    argument; that first error is the one raised.
+
+def typecheck(node, ctx: Context) -> None:
+    """Raise the first SortError of the expression in the given context.
+
+    One walk in reading order (a node before its children, a left operand
+    before the right) stops at the first node the context rejects. The
+    reporting form `classify(...)` is accepted only around a whole hyperreal
+    query, whose walk starts inside it; `sqrt(k)` there needs a square k.
     """
-    hyper, derive = ctx is Context.HYPER, ctx is Context.DERIVE
-
-    def constant(n):
-        return Sort.POLY if derive else Sort.REAL
-
-    def sqrt(n):
-        if derive:
-            return SortError("sqrt(...) is not allowed in a derivative body")
-        if hyper:
-            try:
-                exact_int_sqrt(n.k)
-            except SortError as exc:
-                return exc
-        return Sort.REAL
-
-    def hyperreal(name):
-        message = f"{name} only exists in the hyperreal context"
-        return lambda n: Sort.HYPER if hyper else SortError(message)
-
-    def var(n):
-        if derive:
-            return Sort.POLY
-        return VarOutsideDerive("x is only meaningful in a derivative body")
-
-    def arith(n, left, right):
-        for sort in (left, right):
-            if isinstance(sort, SortError):
-                return sort
-        if Sort.POLY in (left, right):
-            return Sort.POLY
-        if Sort.HYPER in (left, right):
-            return Sort.HYPER
-        return Sort.REAL
-
-    def st(n, inner):
-        if derive:
-            return SortError("st(...) is not allowed in a derivative body")
-        return inner if isinstance(inner, SortError) else Sort.REAL
-
-    def classify(n, inner):
-        if not hyper or n is not node:
-            return SortError(
-                "classify(...) is only allowed as the outermost hyperreal query"
-            )
-        return inner if isinstance(inner, SortError) else Sort.HYPER
-
-    table = {
-        IntLit: constant,
-        RatLit: constant,
-        SqrtInt: sqrt,
-        Dx: hyperreal("dx"),
-        Omega: hyperreal("omega"),
-        Var: var,
-        **dict.fromkeys((Add, Sub, Mul, Div), arith),
-        Pow: lambda n, base: base,
-        St: st,
-        Classify: classify,
-    }
-    sort = fold(node, table)
-    if isinstance(sort, SortError):
-        raise sort
-    return sort
+    stack = [node.inner if ctx is Context.HYPER and type(node) is Classify else node]
+    while stack:
+        n = stack.pop()
+        kind = type(n)
+        rule = _ADMITTED.get(kind)
+        if rule is not None and ctx not in rule[0]:
+            raise rule[1](rule[2])
+        if kind is SqrtInt and ctx is Context.HYPER:
+            exact_int_sqrt(n.k)
+        stack.extend(getattr(n, f) for f in reversed(CHILDREN.get(kind, ())))
 
 
 # -- formatting ---------------------------------------------------------------

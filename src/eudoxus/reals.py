@@ -163,6 +163,8 @@ class EudoxusReal:
         f(0) and d_f(n, -n) terms), so a violation refutes equality while a
         pass certifies agreement at every probed scale.
         """
+        if window < 1:
+            raise ValueError("window must be positive")
         f, g = self.rep, other.rep
         tol = f.bound + g.bound
         for args, limit in ((range(window + 1), tol), (range(-window, 0), 3 * tol)):
@@ -219,43 +221,30 @@ def one() -> EudoxusReal:
 # -- decidable slice of equality ---------------------------------------------
 #
 # On the rule catalogue many elements have an exact slope of the shape
-# q * sqrt(k) with rational q and squarefree k. Extracting that normal form
-# where possible gives a sound, certified equality decision; a certified
-# window violation gives a sound inequality decision; everything else is
-# honestly undecided (None).
+# q * sqrt(k) with rational q and integer k >= 1. Extracting that form where
+# possible gives a sound, certified equality decision; a certified window
+# violation gives a sound inequality decision; everything else is honestly
+# undecided (None).
 
 REFUTATION_WINDOW = 64  # the window certified_equal searches for a violation
 
 
-def _squarefree(k: int) -> tuple[int, int]:
-    """Split k = s^2 * m with m squarefree; returns (s, m)."""
-    if k == 0:
-        return 0, 1
-    s, m, d = 1, k, 2
-    while d * d <= m:
-        while m % (d * d) == 0:
-            m //= d * d
-            s *= d
-        d += 1
-    return s, m
-
-
 def exact_slope(f: AlmostHom):
-    """Exact slope as (q, k) meaning q*sqrt(k), k squarefree; None if unknown."""
+    """Exact slope as (q, k) meaning q*sqrt(k), k >= 1; None if unknown.
+
+    k is not factored: sqrt(8) is (1, 8). Like radicals, which a Sum joins,
+    are those whose ka*kb is a perfect square, found by `isqrt`.
+    """
     if isinstance(f, FloorLinear):
         return Fraction(f.p, f.q), 1
     if isinstance(f, FloorSqrt):
-        s, m = _squarefree(f.k)
-        return Fraction(s), m
+        return (Fraction(1), f.k) if f.k else (Fraction(0), 1)
     if isinstance(f, Neg):
         s = exact_slope(f.inner)
         return None if s is None else (-s[0], s[1])
     if isinstance(f, IntScale):
         s = exact_slope(f.inner)
-        if s is None:
-            return None
-        q, k = Fraction(f.m) * s[0], s[1]
-        return (q, 1) if q == 0 else (q, k)
+        return None if s is None else (f.m * s[0], s[1])
     if isinstance(f, Sum):
         a, b = exact_slope(f.left), exact_slope(f.right)
         if a is None or b is None:
@@ -264,19 +253,14 @@ def exact_slope(f: AlmostHom):
             return b
         if b[0] == 0:
             return a
-        if a[1] == b[1]:
-            q = a[0] + b[0]
-            return (q, 1) if q == 0 else (q, a[1])
-        return None
+        (qa, ka), (qb, kb) = a, b
+        r = isqrt(ka * kb)  # qb*sqrt(kb) = (qb*r/ka)*sqrt(ka) when r*r == ka*kb
+        return (qa + qb * r / ka, ka) if r * r == ka * kb else None
     if isinstance(f, Compose):
         a, b = exact_slope(f.outer), exact_slope(f.inner)
         if a is None or b is None:
             return None
-        q = a[0] * b[0]
-        if q == 0:
-            return Fraction(0), 1
-        s, m = _squarefree(a[1] * b[1])
-        return q * s, m
+        return a[0] * b[0], a[1] * b[1]
     if isinstance(f, Invert):
         s = exact_slope(f.inner)
         if s is None or s[0] == 0:
@@ -292,7 +276,8 @@ def certified_equal(x: EudoxusReal, y: EudoxusReal):
         return True
     sx, sy = exact_slope(x.rep), exact_slope(y.rep)
     if sx is not None and sy is not None:
-        return sx == sy
+        (qx, kx), (qy, ky) = sx, sy
+        return qx * qy >= 0 and qx * qx * kx == qy * qy * ky
     if not x.equals_within(y, REFUTATION_WINDOW):
         return False
     return None

@@ -210,3 +210,111 @@ def fraction_long_division(p, d):
         for j, c in enumerate(d):
             r[i + j] -= q[i] * c
     return q, r
+
+
+def first_sort_error(tree, ctx):
+    """The SortError an expression raises in a context, or None, by the
+    errors-as-values rule: every subtree yields its sort ("Real", "Hyper",
+    "Poly", with Real promoted to Hyper and both to Poly in a mixed node) or
+    its first error in reading order, and a node's own error comes before
+    its children's, a left operand's before the right one's."""
+    from eudoxus import expr
+
+    hyper, derive = ctx is expr.Context.HYPER, ctx is expr.Context.DERIVE
+
+    def sort_of(n):
+        kind = type(n)
+        if kind in (expr.IntLit, expr.RatLit):
+            return "Poly" if derive else "Real"
+        if kind is expr.SqrtInt:
+            if derive:
+                return expr.SortError("sqrt(...) is not allowed in a derivative body")
+            if hyper and bisect_isqrt(n.k) ** 2 != n.k:
+                return expr.SortError(
+                    f"sqrt({n.k}) is irrational and has no exact "
+                    "rational-slope form; use a real-context query"
+                )
+            return "Real"
+        if kind in (expr.Dx, expr.Omega):
+            name = "dx" if kind is expr.Dx else "omega"
+            if hyper:
+                return "Hyper"
+            return expr.SortError(f"{name} only exists in the hyperreal context")
+        if kind is expr.Var:
+            if derive:
+                return "Poly"
+            return expr.VarOutsideDerive("x is only meaningful in a derivative body")
+        if kind in (expr.Add, expr.Sub, expr.Mul, expr.Div):
+            left, right = sort_of(n.left), sort_of(n.right)
+            for sort in (left, right):
+                if isinstance(sort, expr.SortError):
+                    return sort
+            for sort in ("Poly", "Hyper"):
+                if sort in (left, right):
+                    return sort
+            return "Real"
+        if kind is expr.Pow:
+            return sort_of(n.base)
+        inner = sort_of(n.inner)
+        if kind is expr.St:
+            if derive:
+                return expr.SortError("st(...) is not allowed in a derivative body")
+            return inner if isinstance(inner, expr.SortError) else "Real"
+        if not hyper or n is not tree:  # Classify
+            return expr.SortError(
+                "classify(...) is only allowed as the outermost hyperreal query"
+            )
+        return inner if isinstance(inner, expr.SortError) else "Hyper"
+
+    result = sort_of(tree)
+    return result if isinstance(result, expr.SortError) else None
+
+
+def squarefree_slope(f):
+    """The exact slope of a rule tree as (q, m) meaning q*sqrt(m) with m
+    squarefree (zero as (0, 1)), or None where no such form is derived; m is
+    found by trial division, so keep radicands small."""
+    from eudoxus import ahom
+
+    def squarefree(k):
+        s, m, d = 1, k, 2
+        while d * d <= m:
+            while m % (d * d) == 0:
+                m //= d * d
+                s *= d
+            d += 1
+        return s, m
+
+    def normal(q, k):
+        if q == 0:
+            return Fraction(0), 1
+        s, m = squarefree(k)
+        return q * s, m
+
+    kind = type(f)
+    if kind is ahom.FloorLinear:
+        return normal(Fraction(f.p, f.q), 1)
+    if kind is ahom.FloorSqrt:
+        return normal(Fraction(1 if f.k else 0), f.k)
+    if kind in (ahom.Neg, ahom.IntScale, ahom.Invert):
+        s = squarefree_slope(f.inner)
+        if s is None or (kind is ahom.Invert and s[0] == 0):
+            return None
+        if kind is ahom.Neg:
+            return -s[0], s[1]
+        if kind is ahom.IntScale:
+            return normal(f.m * s[0], s[1])
+        return 1 / (s[0] * s[1]), s[1]
+    if kind is ahom.Sum:
+        a, b = squarefree_slope(f.left), squarefree_slope(f.right)
+        if a is None or b is None:
+            return None
+        if a[0] == 0 or b[0] == 0:
+            return b if a[0] == 0 else a
+        return normal(a[0] + b[0], a[1]) if a[1] == b[1] else None
+    if kind is ahom.Compose:
+        a, b = squarefree_slope(f.outer), squarefree_slope(f.inner)
+        if a is None or b is None:
+            return None
+        return normal(a[0] * b[0], a[1] * b[1])
+    return None

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from eudoxus.expr import (
     Omega,
     Pow,
     RatLit,
-    Sort,
     SortError,
     SqrtInt,
     St,
@@ -30,6 +30,7 @@ from eudoxus.expr import (
     tokenize,
     typecheck,
 )
+from oracles import first_sort_error
 
 
 def test_tokenize_examples():
@@ -77,10 +78,10 @@ def test_constant_folding_of_rational_literals():
 
 
 def test_typecheck_examples():
-    assert typecheck(parse("sqrt(2)*sqrt(2)"), Context.REAL) is Sort.REAL
+    assert typecheck(parse("sqrt(2)*sqrt(2)"), Context.REAL) is None
     with pytest.raises(SortError):
         typecheck(parse("dx"), Context.REAL)
-    assert typecheck(parse("x^2 - 2*x"), Context.DERIVE) is Sort.POLY
+    assert typecheck(parse("x^2 - 2*x"), Context.DERIVE) is None
 
 
 def test_typecheck_variable_scoping():
@@ -91,13 +92,13 @@ def test_typecheck_variable_scoping():
 
 
 def test_typecheck_promotion_and_st():
-    assert typecheck(parse("1 + dx"), Context.HYPER) is Sort.HYPER
-    assert typecheck(parse("st(1 + dx)"), Context.HYPER) is Sort.REAL
-    assert typecheck(parse("st(1/2)"), Context.REAL) is Sort.REAL
+    assert typecheck(parse("1 + dx"), Context.HYPER) is None
+    assert typecheck(parse("st(1 + dx)"), Context.HYPER) is None
+    assert typecheck(parse("st(1/2)"), Context.REAL) is None
 
 
 def test_typecheck_classify_only_at_top_level():
-    assert typecheck(parse("classify(dx)"), Context.HYPER) is Sort.HYPER
+    assert typecheck(parse("classify(dx)"), Context.HYPER) is None
     with pytest.raises(SortError):
         typecheck(parse("1 + classify(dx)"), Context.HYPER)
     with pytest.raises(SortError):
@@ -106,7 +107,7 @@ def test_typecheck_classify_only_at_top_level():
 
 def test_typecheck_sqrt_in_hyper_context():
     # Perfect squares have an exact rational-slope form; other roots do not.
-    assert typecheck(parse("sqrt(4) + dx"), Context.HYPER) is Sort.HYPER
+    assert typecheck(parse("sqrt(4) + dx"), Context.HYPER) is None
     with pytest.raises(SortError):
         typecheck(parse("sqrt(2) + dx"), Context.HYPER)
     with pytest.raises(SortError):
@@ -164,6 +165,58 @@ def test_typecheck_raises_the_first_error_in_reading_order():
         typecheck(parse("dx + st(x)"), Context.DERIVE)
     with pytest.raises(SortError, match="classify"):
         typecheck(parse("1 + classify(x)"), Context.HYPER)
+
+
+def _gen_checked(rng: random.Random, depth: int, leaves):
+    """A tree over all thirteen node kinds, its leaves drawn from `leaves`;
+    `classify(` wraps the root or an inner node now and then."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(leaves)(rng)
+    pick = rng.random()
+    if pick < 0.7:
+        left = _gen_checked(rng, depth - 1, leaves)
+        return rng.choice((Add, Sub, Mul, Div))(left, _gen_checked(rng, depth - 1, leaves))
+    if pick < 0.8:
+        return Pow(_gen_checked(rng, depth - 1, leaves), rng.randint(0, 3))
+    wrap = St if pick < 0.95 else Classify
+    return wrap(_gen_checked(rng, depth - 1, leaves))
+
+
+_LEAVES = (
+    lambda rng: IntLit(rng.randint(0, 9)),
+    lambda rng: RatLit(Fraction(rng.randint(1, 9), rng.randint(2, 9))),
+    lambda rng: SqrtInt(rng.randint(0, 30)),  # squares and non-squares
+    lambda rng: Dx(),
+    lambda rng: Omega(),
+    lambda rng: Var(),
+)
+
+
+def test_typecheck_matches_the_sort_folding_checker():
+    # The walk raises what the sort-folding checker in `oracles` reports,
+    # with the same class and the same text, or nothing where it finds none.
+    rng = random.Random(1313)
+    outcomes = set()
+    for _ in range(3000):
+        leaves = rng.sample(_LEAVES, rng.randint(1, 3))
+        tree = _gen_checked(rng, rng.randint(0, 5), leaves)
+        if rng.random() < 0.3:
+            tree = Classify(tree)
+        for ctx in Context:
+            expected = first_sort_error(tree, ctx)
+            try:
+                typecheck(tree, ctx)
+            except SortError as exc:
+                assert (type(exc), str(exc)) == (type(expected), str(expected)), tree
+                outcomes.add((ctx, re.sub(r"[0-9]+", "k", str(exc).split()[0])))
+            else:
+                assert expected is None, tree
+                outcomes.add((ctx, None))
+    # Every context accepts some trees, and every kind of error occurs.
+    assert {(ctx, None) for ctx in Context} <= outcomes
+    assert {text for _, text in outcomes} == {
+        None, "dx", "omega", "x", "sqrt(...)", "sqrt(k)", "st(...)", "classify(...)"
+    }
 
 
 def _gen(rng: random.Random, depth: int):

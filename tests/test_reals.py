@@ -1,10 +1,22 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from eudoxus import reals
-from eudoxus.ahom import FloorLinear, Invert, Neg, verify_bound
+from eudoxus.ahom import (
+    Compose,
+    FloorLinear,
+    FloorSqrt,
+    IntScale,
+    Invert,
+    Neg,
+    Sum,
+    verify_bound,
+)
 from eudoxus.reals import (
     EudoxusReal,
     Greater,
@@ -21,7 +33,12 @@ from eudoxus.reals import (
     from_sqrt_int,
 )
 
-from oracles import bisect_isqrt, long_division_decimal, sqrt_decimal_truncated
+from oracles import (
+    bisect_isqrt,
+    long_division_decimal,
+    sqrt_decimal_truncated,
+    squarefree_slope,
+)
 
 
 def test_from_rational_examples():
@@ -217,8 +234,8 @@ def test_slope_round_trip_tightens_with_depth():
 
 def test_exact_slope_extraction():
     assert exact_slope(from_rational(3, 4).rep) == (Fraction(3, 4), 1)
-    assert exact_slope(from_sqrt_int(8).rep) == (Fraction(2), 2)
-    assert exact_slope(from_sqrt_int(9).rep) == (Fraction(3), 1)
+    assert exact_slope(from_sqrt_int(8).rep) == (Fraction(1), 8)
+    assert exact_slope(from_sqrt_int(9).rep) == (Fraction(1), 9)
     prod = from_sqrt_int(2).mul(from_sqrt_int(3))
     assert exact_slope(prod.rep) == (Fraction(1), 6)
     tot = from_sqrt_int(2).add(from_sqrt_int(2))
@@ -229,6 +246,12 @@ def test_exact_slope_extraction():
     assert exact_slope(inv.rep) == (Fraction(1, 2), 2)
 
 
+def test_equals_within_rejects_a_window_below_one():
+    for window in (0, -1):
+        with pytest.raises(ValueError, match="window must be positive"):
+            from_rational(1, 1).equals_within(from_rational(2, 1), window)
+
+
 def test_certified_equal_three_values():
     assert certified_equal(from_sqrt_int(2), from_sqrt_int(2)) is True
     assert certified_equal(from_sqrt_int(4), from_rational(2, 1)) is True
@@ -236,6 +259,76 @@ def test_certified_equal_three_values():
     blur = from_sqrt_int(2).add(from_sqrt_int(3))
     near = from_rational(3146264369941973, 10**15)
     assert certified_equal(blur, near) is None
+    twice = from_sqrt_int(2).add(from_sqrt_int(2))
+    assert certified_equal(from_sqrt_int(8), twice) is True
+
+
+def test_certified_equal_is_fast_on_huge_radicands():
+    # Factoring a 41-digit radicand by trial division takes about 10^20 steps;
+    # a child process lets the timeout fail the test instead of hanging it.
+    code = (
+        "from eudoxus.reals import certified_equal, from_rational, from_sqrt_int\n"
+        "k = 10**40 + 121\n"
+        "root = from_sqrt_int(k)\n"
+        "print(certified_equal(root.add(root), from_sqrt_int(4 * k)),"
+        " certified_equal(root, from_sqrt_int(2)),"
+        " certified_equal(root.mul(root), from_rational(k, 1)))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        encoding="utf-8",
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "True"]
+
+
+_RADICANDS = (0, 1, 2, 3, 4, 6, 8, 9, 12, 18, 27, 50)
+
+
+def _slope_tree(rng: random.Random, depth: int):
+    """A rule tree of sums, products, negations, scales and inverses over
+    rationals and roots of small radicands, square and not."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.7:
+            return FloorSqrt(rng.choice(_RADICANDS))
+        return FloorLinear(rng.randint(-3, 3), rng.randint(1, 3))
+    x = _slope_tree(rng, depth - 1)
+    pick = rng.randrange(5)
+    if pick < 2:
+        return (Sum, Compose)[pick](x, _slope_tree(rng, depth - 1))
+    if pick == 2:
+        return Neg(x)
+    if pick == 3:
+        return IntScale(rng.randint(-3, 3), x)
+    try:
+        return EudoxusReal(x).recip(1 << 10).rep
+    except UndecidedSign:
+        return x
+
+
+def test_exact_slope_agrees_with_the_squarefree_normal_form():
+    rng = random.Random(2718)
+    trees = [_slope_tree(rng, rng.randint(0, 3)) for _ in range(400)]
+    slopes = []
+    for f in trees:
+        got, want = exact_slope(f), squarefree_slope(f)
+        assert (got is None) == (want is None), f
+        if got is not None:
+            (q, k), (qs, m) = got, want
+            assert k >= 1 and q * qs >= 0 and q * q * k == qs * qs * m, f
+        slopes.append(want)
+    verdicts = []
+    for _ in range(8000):
+        i, j = rng.randrange(len(trees)), rng.randrange(len(trees))
+        if slopes[i] is not None and slopes[j] is not None:
+            verdict = certified_equal(EudoxusReal(trees[i]), EudoxusReal(trees[j]))
+            assert verdict is (slopes[i] == slopes[j]), (trees[i], trees[j])
+            verdicts.append(verdict)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 1000
 
 
 def test_representative_certificates_hold_for_compounds():
