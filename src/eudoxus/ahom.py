@@ -6,9 +6,10 @@ An almost homomorphism is a total map f: Z -> Z whose discrepancy
 
 has finite range. Every value here is a node of a closed rule catalogue and
 carries a certified integer bound C with |d_f(p, q)| <= C for all p, q. The
-catalogue keeps evaluation total, deterministic and serializable, and lets
-bounds propagate structurally, so downstream error estimates are certificates
-rather than hopes. No floating point is used anywhere in this module.
+catalogue keeps evaluation total, deterministic and serializable. A node sets
+its bound, direction and exact slope when it is built, from its children's,
+so downstream error estimates are certificates rather than hopes, and a read
+costs O(1) at any depth. No floating point is used anywhere in this module.
 
 Concurrency: nodes are immutable after construction. The per-node memo table
 only caches values of a pure function, so concurrent use from several threads
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
@@ -40,15 +42,20 @@ class RuleSyntaxError(ValueError):
 class AlmostHom:
     """Base class of rule-tree nodes.
 
-    Subclasses provide `_raw` (the closed-form evaluator), `bound` (the
-    certified discrepancy bound) and `direction` (the monotonicity the node
-    has by construction: +1 nondecreasing, -1 nonincreasing, 0 constant, None
-    when the structure does not decide it). `eval` memoizes per node;
-    evaluation is observationally pure.
+    Subclasses provide `_raw` (the closed-form evaluator) and, when built,
+    set three facts from their children's: `bound` (the certified
+    discrepancy bound), `direction` (the monotonicity the node has by
+    construction: +1 nondecreasing, -1 nonincreasing, 0 constant) and `slope`
+    (the exact slope (q, k), meaning q*sqrt(k) with rational q and integer
+    k >= 1); None where the structure does not decide. The facts are not
+    dataclass fields, so frozen nodes write them through `vars`, and they
+    take no part in equality, hashing or the text form. `eval` memoizes per
+    node; evaluation is observationally pure.
     """
 
     bound: int
     direction: int | None
+    slope: tuple[Fraction, int] | None
 
     @cached_property
     def _memo(self) -> dict:
@@ -84,14 +91,8 @@ class FloorLinear(AlmostHom):
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("denominator must be a positive integer")
-
-    @property
-    def bound(self) -> int:
-        return 1
-
-    @property
-    def direction(self) -> int:
-        return (self.p > 0) - (self.p < 0)
+        p = self.p
+        vars(self).update(bound=1, direction=(p > 0) - (p < 0), slope=(Fraction(p, self.q), 1))
 
     def _raw(self, a: int) -> int:
         return (self.p * a) // self.q
@@ -103,7 +104,7 @@ class FloorSqrt(AlmostHom):
 
     For a >= 0 this is floor(sqrt(k) * a); negative arguments use the odd
     extension, which changes each value by at most 1 and therefore keeps the
-    discrepancy within 2.
+    discrepancy within 2. k is not factored: sqrt(8) has slope (1, 8).
     """
 
     k: int
@@ -111,14 +112,10 @@ class FloorSqrt(AlmostHom):
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("radicand must be nonnegative")
-
-    @property
-    def bound(self) -> int:
-        return 2
-
-    @property
-    def direction(self) -> int:
-        return 1 if self.k else 0
+        k = self.k
+        vars(self).update(
+            bound=2, direction=1 if k else 0, slope=(Fraction(1), k) if k else (Fraction(0), 1)
+        )
 
     def _raw(self, a: int) -> int:
         if a < 0:
@@ -133,18 +130,25 @@ class Sum(AlmostHom):
     left: AlmostHom
     right: AlmostHom
 
-    @property
-    def bound(self) -> int:
-        return self.left.bound + self.right.bound
-
-    @cached_property
-    def direction(self) -> int | None:
-        a, b = self.left.direction, self.right.direction
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        return a if a == b else None
+    def __post_init__(self):
+        a, b = self.left, self.right
+        da, db = a.direction, b.direction
+        sa, sb = a.slope, b.slope
+        if sa is None or sb is None:
+            slope = None
+        elif sa[0] == 0 or sb[0] == 0:
+            slope = sb if sa[0] == 0 else sa
+        elif sa[1] == sb[1]:  # the common case, joined without the division below
+            slope = (sa[0] + sb[0], sa[1])
+        else:
+            (qa, ka), (qb, kb) = sa, sb
+            r = isqrt(ka * kb)  # qb*sqrt(kb) = (qb*r/ka)*sqrt(ka) when r*r == ka*kb
+            slope = (qa + qb * r / ka, ka) if r * r == ka * kb else None
+        vars(self).update(
+            bound=a.bound + b.bound,
+            direction=db if da == 0 else da if db == 0 or da == db else None,
+            slope=slope,
+        )
 
     def _raw(self, a: int) -> int:
         return self.left.eval(a) + self.right.eval(a)
@@ -156,14 +160,14 @@ class Neg(AlmostHom):
 
     inner: AlmostHom
 
-    @property
-    def bound(self) -> int:
-        return self.inner.bound
-
-    @cached_property
-    def direction(self) -> int | None:
-        d = self.inner.direction
-        return None if d is None else -d
+    def __post_init__(self):
+        f = self.inner
+        d, s = f.direction, f.slope
+        vars(self).update(
+            bound=f.bound,
+            direction=None if d is None else -d,
+            slope=None if s is None else (-s[0], s[1]),
+        )
 
     def _raw(self, a: int) -> int:
         return -self.inner.eval(a)
@@ -176,16 +180,14 @@ class IntScale(AlmostHom):
     m: int
     inner: AlmostHom
 
-    @property
-    def bound(self) -> int:
-        return max(1, abs(self.m) * self.inner.bound)
-
-    @cached_property
-    def direction(self) -> int | None:
-        if self.m == 0:
-            return 0
-        d = self.inner.direction
-        return None if d is None else (d if self.m > 0 else -d)
+    def __post_init__(self):
+        m, f = self.m, self.inner
+        d, s = f.direction, f.slope
+        vars(self).update(
+            bound=max(1, abs(m) * f.bound),
+            direction=0 if m == 0 else None if d is None else d if m > 0 else -d,
+            slope=None if s is None else (m * s[0], s[1]),
+        )
 
     def _raw(self, a: int) -> int:
         return self.m * self.inner.eval(a)
@@ -219,6 +221,18 @@ class Compose(AlmostHom):
     outer: AlmostHom
     inner: AlmostHom
 
+    def __post_init__(self):
+        g, f = self.outer, self.inner
+        a, b = g.direction, f.direction
+        sa, sb = g.slope, f.slope
+        vars(self).update(
+            direction=0 if a == 0 or b == 0 else None if a is None or b is None else a * b,
+            slope=None if sa is None or sb is None else (sa[0] * sb[0], sa[1] * sb[1]),
+        )
+        # Read now, like the other facts, so that no later read walks down a
+        # chain of products whose bounds were never computed.
+        self.bound
+
     @cached_property
     def bound(self) -> int:
         c = self.inner.bound
@@ -227,13 +241,6 @@ class Compose(AlmostHom):
         if g.direction is not None:
             return 2 * g.bound + max(ends)
         return 4 * g.bound + min(ends)
-
-    @cached_property
-    def direction(self) -> int | None:
-        a, b = self.outer.direction, self.inner.direction
-        if a == 0 or b == 0:
-            return 0
-        return None if a is None or b is None else a * b
 
     def _raw(self, a: int) -> int:
         return self.outer.eval(self.inner.eval(a))
@@ -248,31 +255,30 @@ class Invert(AlmostHom):
     nondecreasing. `witness_n` is an index with inner(witness_n) >
     inner.bound, certifying positivity; from it a positive rational lower
     bound r_lo <= r is derived, giving the certificate
-    |value(p) - p/r| <= C/r + 1 and hence the bound 3*(C/r_lo + 1).
+    |value(p) - p/r| <= C/r + 1 and hence the bound 3*(C/r_lo + 1). The
+    slope 1/(q*sqrt(k)) is (1/(q*k))*sqrt(k).
     """
 
     inner: AlmostHom
     witness_n: int
 
     def __post_init__(self):
+        f, c = self.inner, self.inner.bound
         if self.witness_n < 1:
             raise ValueError("witness index must be positive")
-        if self.inner.eval(self.witness_n) <= self.inner.bound:
+        if f.eval(self.witness_n) <= c:
             raise ValueError("witness does not certify positivity")
-
-    @cached_property
-    def bound(self) -> int:
         # r_lo is the best lower bound (f(n) - C)/n over a fixed schedule of
         # probes n = witness_n * 2^j, j <= 12, with f(n) > C. Since ceil is
         # monotone, ceil(3*(C/r_lo + 1)) is the least of the probes' integer
         # ceilings 3 + ceil(3*C*n/(f(n) - C)).
-        f, c = self.inner, self.inner.bound
         probes = [(n, f.eval(n)) for n in (self.witness_n << j for j in range(13))]
-        return 3 + min(-(-3 * c * n // (fn - c)) for n, fn in probes if fn > c)
-
-    @property
-    def direction(self) -> int:
-        return 1
+        s = f.slope
+        vars(self).update(
+            bound=3 + min(-(-3 * c * n // (fn - c)) for n, fn in probes if fn > c),
+            direction=1,
+            slope=None if s is None or s[0] == 0 else (1 / (s[0] * s[1]), s[1]),
+        )
 
     def _raw(self, a: int) -> int:
         if a < 0:

@@ -217,8 +217,7 @@ def cmd_digits(args, cfg: Config):
     expr.typecheck(tree, expr.Context.REAL)
     value = expr.fold(tree, *_real_ops(cfg.budget))
     rendered = value.to_decimal(precision)
-    index_used = 2 * value.rep.bound * 10 ** (precision + 2)
-    return {"value": rendered, "precision": precision}, [rendered], index_used
+    return {"value": rendered, "precision": precision}, [rendered], value.eval_index(precision)
 
 
 def cmd_hyper_eval(args, cfg: Config):

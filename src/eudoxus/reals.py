@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from . import ahom
 from .ahom import (
@@ -21,7 +20,6 @@ from .ahom import (
     Compose,
     FloorLinear,
     FloorSqrt,
-    IntScale,
     Invert,
     Neg,
     Sum,
@@ -173,16 +171,20 @@ class EudoxusReal:
                     return False
         return True
 
-    def to_decimal(self, digits: int) -> str:
-        """Signed decimal string within 10^-digits of the represented real.
+    def eval_index(self, digits: int) -> int:
+        """The index n that `to_decimal(digits)` evaluates at.
 
-        The evaluation index n is chosen with bound/n <= 0.5 * 10^-(digits+2),
-        two guard digits below the contract, so the final rounding step owns
-        almost the whole error allowance.
+        It is chosen with bound/n <= 0.5 * 10^-(digits+2), two guard digits
+        below the contract, so the final rounding step owns almost the whole
+        error allowance.
         """
+        return 2 * self.rep.bound * 10 ** (digits + 2)
+
+    def to_decimal(self, digits: int) -> str:
+        """Signed decimal string within 10^-digits of the represented real."""
         if digits < 1:
             raise ValueError("digits must be positive")
-        n = 2 * self.rep.bound * 10 ** (digits + 2)
+        n = self.eval_index(digits)
         v = Fraction(self.rep.eval(n), n)
         return decimal_of_fraction(v, digits)
 
@@ -221,63 +223,22 @@ def one() -> EudoxusReal:
 # -- decidable slice of equality ---------------------------------------------
 #
 # On the rule catalogue many elements have an exact slope of the shape
-# q * sqrt(k) with rational q and integer k >= 1. Extracting that form where
-# possible gives a sound, certified equality decision; a certified window
-# violation gives a sound inequality decision; everything else is honestly
-# undecided (None).
+# q * sqrt(k) with rational q and integer k >= 1, which each node carries as
+# `slope` where its structure decides it. Comparing two such forms gives a
+# sound, certified equality decision; a certified window violation gives a
+# sound inequality decision; everything else is honestly undecided (None).
 
 REFUTATION_WINDOW = 64  # the window certified_equal searches for a violation
 
 
-def exact_slope(f: AlmostHom):
-    """Exact slope as (q, k) meaning q*sqrt(k), k >= 1; None if unknown.
-
-    k is not factored: sqrt(8) is (1, 8). Like radicals, which a Sum joins,
-    are those whose ka*kb is a perfect square, found by `isqrt`.
-    """
-    if isinstance(f, FloorLinear):
-        return Fraction(f.p, f.q), 1
-    if isinstance(f, FloorSqrt):
-        return (Fraction(1), f.k) if f.k else (Fraction(0), 1)
-    if isinstance(f, Neg):
-        s = exact_slope(f.inner)
-        return None if s is None else (-s[0], s[1])
-    if isinstance(f, IntScale):
-        s = exact_slope(f.inner)
-        return None if s is None else (f.m * s[0], s[1])
-    if isinstance(f, Sum):
-        a, b = exact_slope(f.left), exact_slope(f.right)
-        if a is None or b is None:
-            return None
-        if a[0] == 0:
-            return b
-        if b[0] == 0:
-            return a
-        (qa, ka), (qb, kb) = a, b
-        r = isqrt(ka * kb)  # qb*sqrt(kb) = (qb*r/ka)*sqrt(ka) when r*r == ka*kb
-        return (qa + qb * r / ka, ka) if r * r == ka * kb else None
-    if isinstance(f, Compose):
-        a, b = exact_slope(f.outer), exact_slope(f.inner)
-        if a is None or b is None:
-            return None
-        return a[0] * b[0], a[1] * b[1]
-    if isinstance(f, Invert):
-        s = exact_slope(f.inner)
-        if s is None or s[0] == 0:
-            return None
-        # 1/(q*sqrt(k)) = (1/(q*k)) * sqrt(k)
-        return 1 / (s[0] * s[1]), s[1]
-    return None
-
-
 def certified_equal(x: EudoxusReal, y: EudoxusReal):
     """Three-valued equality: True/False when certified, None when undecided."""
-    if x.rep == y.rep:
-        return True
-    sx, sy = exact_slope(x.rep), exact_slope(y.rep)
+    sx, sy = x.rep.slope, y.rep.slope
     if sx is not None and sy is not None:
         (qx, kx), (qy, ky) = sx, sy
         return qx * qy >= 0 and qx * qx * kx == qy * qy * ky
+    if x.rep == y.rep:
+        return True
     if not x.equals_within(y, REFUTATION_WINDOW):
         return False
     return None

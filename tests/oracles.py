@@ -318,3 +318,114 @@ def squarefree_slope(f):
             return None
         return normal(a[0] * b[0], a[1] * b[1])
     return None
+
+
+# -- rule-node facts, recomputed by walking down the tree ----------------------
+#
+# The rules for a node's bound, direction and exact slope as recursive
+# functions that read nothing the node stores: each call walks the whole
+# subtree. They are the reference the facts set at construction must match.
+
+
+def tree_bound(f) -> int:
+    """The certified discrepancy bound of a rule tree."""
+    from eudoxus import ahom
+
+    kind = type(f)
+    if kind is ahom.FloorLinear:
+        return 1
+    if kind is ahom.FloorSqrt:
+        return 2
+    if kind is ahom.Sum:
+        return tree_bound(f.left) + tree_bound(f.right)
+    if kind is ahom.Neg:
+        return tree_bound(f.inner)
+    if kind is ahom.IntScale:
+        return max(1, abs(f.m) * tree_bound(f.inner))
+    if kind is ahom.Compose:
+        c, g = tree_bound(f.inner), f.outer
+        ends = abs(g.eval(c)), abs(g.eval(-c))
+        if tree_direction(g) is not None:
+            return 2 * tree_bound(g) + max(ends)
+        return 4 * tree_bound(g) + min(ends)
+    if kind is ahom.Invert:
+        inner, c = f.inner, tree_bound(f.inner)
+        probes = [(n, inner.eval(n)) for n in (f.witness_n << j for j in range(13))]
+        return 3 + min(-(-3 * c * n // (fn - c)) for n, fn in probes if fn > c)
+    raise TypeError(f"unknown rule node {kind.__name__}")
+
+
+def tree_direction(f):
+    """+1, -1 or 0 when the structure makes f nondecreasing, nonincreasing or
+    constant; None when it does not decide."""
+    from eudoxus import ahom
+
+    kind = type(f)
+    if kind is ahom.FloorLinear:
+        return (f.p > 0) - (f.p < 0)
+    if kind is ahom.FloorSqrt:
+        return 1 if f.k else 0
+    if kind is ahom.Sum:
+        a, b = tree_direction(f.left), tree_direction(f.right)
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        return a if a == b else None
+    if kind is ahom.Neg:
+        d = tree_direction(f.inner)
+        return None if d is None else -d
+    if kind is ahom.IntScale:
+        if f.m == 0:
+            return 0
+        d = tree_direction(f.inner)
+        return None if d is None else (d if f.m > 0 else -d)
+    if kind is ahom.Compose:
+        a, b = tree_direction(f.outer), tree_direction(f.inner)
+        if a == 0 or b == 0:
+            return 0
+        return None if a is None or b is None else a * b
+    if kind is ahom.Invert:
+        return 1
+    raise TypeError(f"unknown rule node {kind.__name__}")
+
+
+def tree_slope(f):
+    """The exact slope as (q, k) meaning q*sqrt(k), k >= 1 and not factored;
+    None where the structure does not decide it. Like radicals, which a Sum
+    joins, are those whose ka*kb is a perfect square."""
+    from eudoxus import ahom
+
+    kind = type(f)
+    if kind is ahom.FloorLinear:
+        return Fraction(f.p, f.q), 1
+    if kind is ahom.FloorSqrt:
+        return (Fraction(1), f.k) if f.k else (Fraction(0), 1)
+    if kind is ahom.Neg:
+        s = tree_slope(f.inner)
+        return None if s is None else (-s[0], s[1])
+    if kind is ahom.IntScale:
+        s = tree_slope(f.inner)
+        return None if s is None else (f.m * s[0], s[1])
+    if kind is ahom.Sum:
+        a, b = tree_slope(f.left), tree_slope(f.right)
+        if a is None or b is None:
+            return None
+        if a[0] == 0:
+            return b
+        if b[0] == 0:
+            return a
+        (qa, ka), (qb, kb) = a, b
+        r = bisect_isqrt(ka * kb)
+        return (qa + qb * r / ka, ka) if r * r == ka * kb else None
+    if kind is ahom.Compose:
+        a, b = tree_slope(f.outer), tree_slope(f.inner)
+        if a is None or b is None:
+            return None
+        return a[0] * b[0], a[1] * b[1]
+    if kind is ahom.Invert:
+        s = tree_slope(f.inner)
+        if s is None or s[0] == 0:
+            return None
+        return 1 / (s[0] * s[1]), s[1]
+    return None

@@ -353,6 +353,13 @@ def test_direction_is_sound_on_random_trees():
     assert decided >= 75
 
 
+def test_facts_of_a_long_left_deep_sum_are_read_without_recursion():
+    f = FloorSqrt(2)
+    for _ in range(4999):
+        f = Sum(f, FloorSqrt(2))
+    assert (f.bound, f.direction, f.slope) == (10000, 1, (5000, 2))
+
+
 def test_compose_endpoint_peak_equals_full_scan():
     rng = random.Random(2003)
     inners = [FloorSqrt(2), IntScale(7, FloorSqrt(3)), _witnessed(FloorLinear(1, 9))]

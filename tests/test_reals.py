@@ -28,7 +28,6 @@ from eudoxus.reals import (
     ZeroWithin,
     certified_equal,
     decimal_of_fraction,
-    exact_slope,
     from_rational,
     from_sqrt_int,
 )
@@ -38,6 +37,9 @@ from oracles import (
     long_division_decimal,
     sqrt_decimal_truncated,
     squarefree_slope,
+    tree_bound,
+    tree_direction,
+    tree_slope,
 )
 
 
@@ -233,17 +235,17 @@ def test_slope_round_trip_tightens_with_depth():
 
 
 def test_exact_slope_extraction():
-    assert exact_slope(from_rational(3, 4).rep) == (Fraction(3, 4), 1)
-    assert exact_slope(from_sqrt_int(8).rep) == (Fraction(1), 8)
-    assert exact_slope(from_sqrt_int(9).rep) == (Fraction(1), 9)
+    assert from_rational(3, 4).rep.slope == (Fraction(3, 4), 1)
+    assert from_sqrt_int(8).rep.slope == (Fraction(1), 8)
+    assert from_sqrt_int(9).rep.slope == (Fraction(1), 9)
     prod = from_sqrt_int(2).mul(from_sqrt_int(3))
-    assert exact_slope(prod.rep) == (Fraction(1), 6)
+    assert prod.rep.slope == (Fraction(1), 6)
     tot = from_sqrt_int(2).add(from_sqrt_int(2))
-    assert exact_slope(tot.rep) == (Fraction(2), 2)
+    assert tot.rep.slope == (Fraction(2), 2)
     mixed = from_sqrt_int(2).add(from_sqrt_int(3))
-    assert exact_slope(mixed.rep) is None
+    assert mixed.rep.slope is None
     inv = from_sqrt_int(2).recip(1 << 20)
-    assert exact_slope(inv.rep) == (Fraction(1, 2), 2)
+    assert inv.rep.slope == (Fraction(1, 2), 2)
 
 
 def test_equals_within_rejects_a_window_below_one():
@@ -315,7 +317,7 @@ def test_exact_slope_agrees_with_the_squarefree_normal_form():
     trees = [_slope_tree(rng, rng.randint(0, 3)) for _ in range(400)]
     slopes = []
     for f in trees:
-        got, want = exact_slope(f), squarefree_slope(f)
+        got, want = f.slope, squarefree_slope(f)
         assert (got is None) == (want is None), f
         if got is not None:
             (q, k), (qs, m) = got, want
@@ -329,6 +331,36 @@ def test_exact_slope_agrees_with_the_squarefree_normal_form():
             assert verdict is (slopes[i] == slopes[j]), (trees[i], trees[j])
             verdicts.append(verdict)
     assert verdicts.count(True) > 100 and verdicts.count(False) > 1000
+
+
+def test_node_facts_match_the_recursive_rules():
+    rng = random.Random(1615)
+    kinds = set()
+    for _ in range(2000):
+        f = _slope_tree(rng, rng.randint(0, 4))
+        assert (f.bound, f.direction, f.slope) == (
+            tree_bound(f),
+            tree_direction(f),
+            tree_slope(f),
+        ), f
+        kinds.add(type(f))
+    assert kinds == {FloorLinear, FloorSqrt, Sum, Neg, IntScale, Compose, Invert}
+
+
+def test_certified_equal_answers_on_a_long_chain_of_sums():
+    x = y = from_rational(1, 3)
+    for _ in range(1200):
+        x = x.add(from_rational(1, 3))
+        y = y.add(from_rational(1, 3))
+    assert certified_equal(x, from_rational(1201, 3)) is True
+    assert certified_equal(x, y) is True
+
+
+def test_certified_equal_answers_on_a_long_chain_of_products():
+    x = from_rational(1, 1)
+    for _ in range(1200):
+        x = x.mul(from_rational(1, 1))
+    assert certified_equal(x, from_rational(1, 1)) is True
 
 
 def test_representative_certificates_hold_for_compounds():
