@@ -9,7 +9,9 @@ carries a certified integer bound C with |d_f(p, q)| <= C for all p, q. The
 catalogue keeps evaluation total, deterministic and serializable. A node sets
 its bound, direction and exact slope when it is built, from its children's,
 so downstream error estimates are certificates rather than hopes, and a read
-costs O(1) at any depth. No floating point is used anywhere in this module.
+costs O(1) at any depth. Evaluating a node more than SHALLOW levels deep
+walks an explicit stack, so depth is no limit on evaluation either. No
+floating point is used anywhere in this module.
 
 Concurrency: nodes are immutable after construction. The per-node memo table
 only caches values of a pure function, so concurrent use from several threads
@@ -43,19 +45,21 @@ class AlmostHom:
     """Base class of rule-tree nodes.
 
     Subclasses provide `_raw` (the closed-form evaluator) and, when built,
-    set three facts from their children's: `bound` (the certified
+    set four facts from their children's: `bound` (the certified
     discrepancy bound), `direction` (the monotonicity the node has by
-    construction: +1 nondecreasing, -1 nonincreasing, 0 constant) and `slope`
+    construction: +1 nondecreasing, -1 nonincreasing, 0 constant), `slope`
     (the exact slope (q, k), meaning q*sqrt(k) with rational q and integer
-    k >= 1); None where the structure does not decide. The facts are not
-    dataclass fields, so frozen nodes write them through `vars`, and they
-    take no part in equality, hashing or the text form. `eval` memoizes per
-    node; evaluation is observationally pure.
+    k >= 1), None where the structure does not decide, and `depth`. The
+    facts are not dataclass fields, so frozen nodes write them through
+    `vars`, and they take no part in equality, hashing or the text form.
+    `eval` memoizes per node and evaluates a deep node without deep
+    recursion; evaluation is observationally pure.
     """
 
     bound: int
     direction: int | None
     slope: tuple[Fraction, int] | None
+    depth = 0  # levels of nodes below this one; leaves keep 0
 
     @cached_property
     def _memo(self) -> dict:
@@ -65,12 +69,17 @@ class AlmostHom:
         memo = self._memo
         v = memo.get(a)
         if v is None:
-            v = self._raw(a)
+            v = self._raw(a) if self.depth <= SHALLOW else _eval_flat(self, a)
             memo[a] = v
         return v
 
     def _raw(self, a: int) -> int:
         raise NotImplementedError
+
+    def _parts(self, a: int) -> tuple:
+        """The (node, argument) pairs `_raw(a)` evaluates whose arguments are
+        known yet; () where `_raw` evaluates nothing or searches by itself."""
+        return ()
 
     def __str__(self) -> str:
         return format_rule(self)
@@ -138,20 +147,22 @@ class Sum(AlmostHom):
             slope = None
         elif sa[0] == 0 or sb[0] == 0:
             slope = sb if sa[0] == 0 else sa
-        elif sa[1] == sb[1]:  # the common case, joined without the division below
-            slope = (sa[0] + sb[0], sa[1])
         else:
             (qa, ka), (qb, kb) = sa, sb
             r = isqrt(ka * kb)  # qb*sqrt(kb) = (qb*r/ka)*sqrt(ka) when r*r == ka*kb
             slope = (qa + qb * r / ka, ka) if r * r == ka * kb else None
         vars(self).update(
             bound=a.bound + b.bound,
+            depth=1 + max(a.depth, b.depth),
             direction=db if da == 0 else da if db == 0 or da == db else None,
             slope=slope,
         )
 
     def _raw(self, a: int) -> int:
         return self.left.eval(a) + self.right.eval(a)
+
+    def _parts(self, a: int) -> tuple:
+        return (self.left, a), (self.right, a)
 
 
 @dataclass(frozen=True)
@@ -165,12 +176,16 @@ class Neg(AlmostHom):
         d, s = f.direction, f.slope
         vars(self).update(
             bound=f.bound,
+            depth=f.depth + 1,
             direction=None if d is None else -d,
             slope=None if s is None else (-s[0], s[1]),
         )
 
     def _raw(self, a: int) -> int:
         return -self.inner.eval(a)
+
+    def _parts(self, a: int) -> tuple:
+        return ((self.inner, a),)
 
 
 @dataclass(frozen=True)
@@ -185,12 +200,16 @@ class IntScale(AlmostHom):
         d, s = f.direction, f.slope
         vars(self).update(
             bound=max(1, abs(m) * f.bound),
+            depth=f.depth + 1,
             direction=0 if m == 0 else None if d is None else d if m > 0 else -d,
             slope=None if s is None else (m * s[0], s[1]),
         )
 
     def _raw(self, a: int) -> int:
         return self.m * self.inner.eval(a)
+
+    def _parts(self, a: int) -> tuple:
+        return ((self.inner, a),)
 
 
 @dataclass(frozen=True)
@@ -226,6 +245,7 @@ class Compose(AlmostHom):
         a, b = g.direction, f.direction
         sa, sb = g.slope, f.slope
         vars(self).update(
+            depth=1 + max(g.depth, f.depth),
             direction=0 if a == 0 or b == 0 else None if a is None or b is None else a * b,
             slope=None if sa is None or sb is None else (sa[0] * sb[0], sa[1] * sb[1]),
         )
@@ -244,6 +264,10 @@ class Compose(AlmostHom):
 
     def _raw(self, a: int) -> int:
         return self.outer.eval(self.inner.eval(a))
+
+    def _parts(self, a: int) -> tuple:
+        memo = self.inner._memo
+        return ((self.outer, memo[a]),) if a in memo else ((self.inner, a),)
 
 
 @dataclass(frozen=True)
@@ -276,6 +300,7 @@ class Invert(AlmostHom):
         s = f.slope
         vars(self).update(
             bound=3 + min(-(-3 * c * n // (fn - c)) for n, fn in probes if fn > c),
+            depth=f.depth + 1,
             direction=1,
             slope=None if s is None or s[0] == 0 else (1 / (s[0] * s[1]), s[1]),
         )
@@ -322,6 +347,33 @@ class Invert(AlmostHom):
         while f.eval(a) < p:
             a += 1
         return a
+
+
+# A node at most this many levels deep is evaluated by plain recursion, a
+# few frames per level; a deeper one by `_eval_flat`.
+SHALLOW = 64
+
+
+def _eval_flat(f: AlmostHom, a: int) -> int:
+    """f._raw(a) at a Python stack depth that does not grow with f's.
+
+    The pairs below f that `_parts` names are memoized first, bottom-up from
+    an explicit stack, through the same `_raw` calls the recursive `eval`
+    makes, so the memo entries and eval calls are the same. A shallow pair
+    is left to `_raw`'s own recursion.
+    """
+    todo = [(f, a)]
+    while todo:
+        g, x = todo[-1]
+        if x not in g._memo:
+            if g.depth > SHALLOW:
+                need = [(h, y) for h, y in g._parts(x) if y not in h._memo]
+                if need:
+                    todo += need
+                    continue
+            g._memo[x] = g._raw(x)
+        todo.pop()
+    return f._memo[a]
 
 
 def eval_range(f: AlmostHom, args) -> list[int]:

@@ -360,6 +360,40 @@ def test_facts_of_a_long_left_deep_sum_are_read_without_recursion():
     assert (f.bound, f.direction, f.slope) == (10000, 1, (5000, 2))
 
 
+def test_flat_evaluation_makes_the_calls_and_memo_entries_recursion_makes(monkeypatch):
+    calls = []
+    plain = ahom.AlmostHom.eval
+    monkeypatch.setattr(ahom.AlmostHom, "eval", lambda f, a: calls.append(a) or plain(f, a))
+
+    def memos(f, seen):
+        seen.append(sorted(vars(f).get("_memo", {}).items()))
+        for h in vars(f).values():
+            if isinstance(h, ahom.AlmostHom):
+                memos(h, seen)
+        return seen
+
+    rng = random.Random(2026)
+    for _ in range(300):
+        text = format_rule(_random_tree(rng, 4))
+        args = [rng.randint(-2000, 2000) for _ in range(3)]
+        runs = []
+        for shallow in (ahom.SHALLOW, 0):  # recursion, then a flat walk at every inner node
+            f = parse_rule(text)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(ahom, "SHALLOW", shallow)
+                runs.append(([f.eval(a) for a in args], len(calls), memos(f, [])))
+        assert runs[0] == runs[1], text
+
+
+def test_evaluation_of_a_deep_chain_stays_below_the_recursion_limit():
+    f = FloorSqrt(2)
+    for _ in range(3000):
+        f = Compose(Sum(f, FloorLinear(1, 7)), FloorLinear(1, 1))
+    assert f.depth == 6000
+    assert f.eval(7) == 9 + 3000  # floor(7*sqrt(2)) plus 3000 times floor(7/7)
+
+
 def test_compose_endpoint_peak_equals_full_scan():
     rng = random.Random(2003)
     inners = [FloorSqrt(2), IntScale(7, FloorSqrt(3)), _witnessed(FloorLinear(1, 9))]

@@ -44,6 +44,11 @@ def test_digits_renders_past_the_int_to_str_digit_limit(capsys):
     assert out == f"{units}." + "".join(reversed(chunks)) + "\n"
 
 
+def test_digits_of_a_long_flat_sum_answers(capsys):
+    code, out, err = run_cli(["digits", "+".join(["sqrt(2)"] * 900), "-p", "20"], capsys)
+    assert (code, out, err) == (0, "1272.79220613578554392152\n", "")  # 900*sqrt(2)
+
+
 def test_digits_sort_error_exits_3(capsys):
     code, _, err = run_cli(["digits", "dx", "-p", "3"], capsys)
     assert code == 3 and "hyperreal" in err

@@ -363,6 +363,17 @@ def test_certified_equal_answers_on_a_long_chain_of_products():
     assert certified_equal(x, from_rational(1, 1)) is True
 
 
+def test_certified_equal_answers_on_a_chain_whose_bounds_need_deep_evaluation():
+    # Each Compose bound evaluates the chain so far at arguments no earlier
+    # node has seen, so every level is evaluated anew.
+    y, r = from_rational(1, 1), Fraction(1)
+    for _ in range(300):
+        y = y.mul(from_sqrt_int(4)).add(from_rational(1, 7))
+        r = 2 * r + Fraction(1, 7)
+    assert certified_equal(y, from_rational(r.numerator, r.denominator)) is True
+    assert certified_equal(y, from_rational(r.numerator + 1, r.denominator)) is False
+
+
 def test_representative_certificates_hold_for_compounds():
     x = from_sqrt_int(2).mul(from_sqrt_int(3)).add(from_rational(-7, 3))
     assert verify_bound(x.rep, 100).ok
