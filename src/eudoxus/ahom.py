@@ -10,8 +10,9 @@ catalogue keeps evaluation total, deterministic and serializable. A node sets
 its bound, direction and exact slope when it is built, from its children's,
 so downstream error estimates are certificates rather than hopes, and a read
 costs O(1) at any depth. Evaluating a node more than SHALLOW levels deep
-walks an explicit stack, so depth is no limit on evaluation either. No
-floating point is used anywhere in this module.
+walks an explicit stack, so depth is no limit on evaluation either. Bulk
+evaluation reads a tree's sums, negations and scales as one linear form over
+its distinct atoms (`linear_form`). No floating point is used anywhere here.
 
 Concurrency: nodes are immutable after construction. The per-node memo table
 only caches values of a pure function, so concurrent use from several threads
@@ -376,33 +377,58 @@ def _eval_flat(f: AlmostHom, a: int) -> int:
     return f._memo[a]
 
 
+def linear_form(f: AlmostHom) -> dict:
+    """f as {key: [atom, c]}: f = sum of c*atom at every point, each c != 0.
+
+    Sum, Neg and IntScale are walked from an explicit stack. A FloorLinear or
+    FloorSqrt leaf is keyed by value, any other atom by id while f holds it.
+    """
+    form = {}
+    todo = [(f, 1)]
+    while todo:
+        g, c = todo.pop()
+        if isinstance(g, Sum):
+            todo += (g.left, c), (g.right, c)
+        elif isinstance(g, Neg):
+            todo.append((g.inner, -c))
+        elif isinstance(g, IntScale):
+            todo.append((g.inner, g.m * c))  # a zero coefficient cancels below
+        else:
+            key = g if isinstance(g, (FloorLinear, FloorSqrt)) else id(g)
+            term = form.setdefault(key, [g, 0])
+            term[1] += c
+            if not term[1]:
+                del form[key]
+    return form
+
+
 def eval_range(f: AlmostHom, args) -> list[int]:
     """Evaluate f on an iterable of arguments in bulk.
 
-    Semantically identical to [f.eval(a) for a in args] but avoids per-point
-    dispatch for the closed-form nodes; window checks and certificate audits
-    lean on this.
+    Semantically identical to [f.eval(a) for a in args]. f is read as its
+    `linear_form`, and each atom is evaluated once over all of args: a leaf
+    by its closed form, a Compose by two bulk passes, any other atom point by
+    point. Terms that cancel are never evaluated, and a sum of any depth
+    costs no recursion. Window checks and certificate audits lean on this.
     """
-    if isinstance(f, FloorLinear):
-        p, q = f.p, f.q
-        return [p * a // q for a in args]
-    if isinstance(f, FloorSqrt):
-        k = f.k
-        return [isqrt(k * a * a) if a >= 0 else -isqrt(k * a * a) for a in args]
-    if isinstance(f, Sum):
-        args = list(args)
-        return [
-            l + r
-            for l, r in zip(eval_range(f.left, args), eval_range(f.right, args))
-        ]
-    if isinstance(f, Neg):
-        return [-v for v in eval_range(f.inner, args)]
-    if isinstance(f, IntScale):
-        m = f.m
-        return [m * v for v in eval_range(f.inner, args)]
-    if isinstance(f, Compose):
-        return eval_range(f.outer, eval_range(f.inner, args))
-    return [f.eval(a) for a in args]
+    args = args if isinstance(args, list) else list(args)
+    total = None
+    for g, c in linear_form(f).values():
+        if isinstance(g, FloorLinear):
+            p, q = g.p, g.q
+            vals = [p * a // q for a in args]
+        elif isinstance(g, FloorSqrt):
+            k = g.k
+            vals = [isqrt(k * a * a) if a >= 0 else -isqrt(k * a * a) for a in args]
+        elif isinstance(g, Compose):
+            vals = eval_range(g.outer, eval_range(g.inner, args))
+        else:
+            vals = [g.eval(a) for a in args]
+        if total is None:
+            total = vals if c == 1 else [c * v for v in vals]
+        else:
+            total = [t + c * v for t, v in zip(total, vals)]
+    return [0] * len(args) if total is None else total
 
 
 def discrepancy(f: AlmostHom, p: int, q: int) -> int:

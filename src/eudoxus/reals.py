@@ -159,16 +159,16 @@ class EudoxusReal:
         If the two elements are equal then |f(n) - g(n)| <= C_f + C_g for all
         n >= 0 and <= 3(C_f + C_g) for n < 0 (negative arguments pick up the
         f(0) and d_f(n, -n) terms), so a violation refutes equality while a
-        pass certifies agreement at every probed scale.
+        pass certifies agreement at every probed scale. f - g is evaluated
+        once per window, as one linear form in which shared atoms cancel.
         """
         if window < 1:
             raise ValueError("window must be positive")
-        f, g = self.rep, other.rep
-        tol = f.bound + g.bound
+        diff = Sum(self.rep, Neg(other.rep))
+        tol = diff.bound  # C_f + C_g
         for args, limit in ((range(window + 1), tol), (range(-window, 0), 3 * tol)):
-            for a, b in zip(ahom.eval_range(f, args), ahom.eval_range(g, args)):
-                if abs(a - b) > limit:
-                    return False
+            if max(map(abs, ahom.eval_range(diff, args))) > limit:
+                return False
         return True
 
     def eval_index(self, digits: int) -> int:
@@ -237,7 +237,8 @@ def certified_equal(x: EudoxusReal, y: EudoxusReal):
     if sx is not None and sy is not None:
         (qx, kx), (qy, ky) = sx, sy
         return qx * qy >= 0 and qx * qx * kx == qy * qy * ky
-    if x.rep == y.rep:
+    # Maps equal at every point are the same real.
+    if not ahom.linear_form(Sum(x.rep, Neg(y.rep))) or x.rep == y.rep:
         return True
     if not x.equals_within(y, REFUTATION_WINDOW):
         return False

@@ -429,3 +429,15 @@ def tree_slope(f):
             return None
         return 1 / (s[0] * s[1]), s[1]
     return None
+
+
+def window_equal(f, g, window: int) -> bool:
+    """The window check of `EudoxusReal.equals_within` on two rule trees,
+    as two separate evaluations compared pair by pair: f and g are each
+    evaluated by `eval` at every probe, and only then subtracted."""
+    tol = f.bound + g.bound
+    for args, limit in ((range(window + 1), tol), (range(-window, 0), 3 * tol)):
+        for a, b in zip([f.eval(n) for n in args], [g.eval(n) for n in args]):
+            if abs(a - b) > limit:
+                return False
+    return True

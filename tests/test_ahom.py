@@ -16,11 +16,13 @@ from eudoxus.ahom import (
     discrepancy,
     eval_range,
     format_rule,
+    linear_form,
     parse_rule,
     verify_bound,
 )
+from eudoxus.reals import EudoxusReal, UndecidedSign
 
-from oracles import bisect_isqrt, invert_bound, least_reaching
+from oracles import bisect_isqrt, invert_bound, least_reaching, window_equal
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -62,6 +64,117 @@ def test_eval_range_agrees_with_pointwise():
     for f in nodes:
         window = list(range(-40, 41))
         assert eval_range(f, window) == [f.eval(a) for a in window]
+
+
+def test_linear_form_merges_like_leaves_and_cancels_opposite_terms():
+    x, y = FloorSqrt(2), Compose(FloorSqrt(3), FloorLinear(1, 2))
+    f = Sum(Sum(x, IntScale(3, FloorSqrt(2))), Sum(Neg(y), IntScale(0, FloorLinear(5, 1))))
+    assert linear_form(f) == {x: [x, 4], id(y): [y, -1]}
+    assert linear_form(Sum(f, Neg(f))) == {}
+    # A Compose is keyed by identity: one built apart does not cancel.
+    twin = Compose(FloorSqrt(3), FloorLinear(1, 2))
+    assert len(linear_form(Sum(y, Neg(twin)))) == 2
+
+
+def _combination_tree(rng, depth, shared):
+    """A tree over all seven node kinds whose leaves are often one of the
+    `shared` objects or an equal leaf built apart; some sums cancel a subtree
+    against its own negation, some scales are by 0, and `recip` makes the
+    Inverts."""
+    if depth == 0 or rng.random() < 0.2:
+        leaf = rng.choice(shared)
+        pick = rng.random()
+        if pick < 0.4:
+            return leaf
+        if pick < 0.7:
+            return parse_rule(format_rule(leaf))
+        if pick < 0.85:
+            return FloorLinear(rng.randint(-9, 9), rng.randint(1, 7))
+        return FloorSqrt(rng.randint(0, 20))
+    a = _combination_tree(rng, depth - 1, shared)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Sum(a, _combination_tree(rng, depth - 1, shared))
+    if kind == 1:
+        return Neg(a)
+    if kind == 2:
+        return IntScale(rng.randint(-3, 3), a)
+    if kind == 3:
+        return Compose(a, _combination_tree(rng, depth - 1, shared))
+    if kind == 4:
+        twin = rng.choice((a, parse_rule(format_rule(a))))
+        return Sum(a, rng.choice((Neg(twin), IntScale(-1, twin))))
+    try:
+        return EudoxusReal(a).recip(1 << 10).rep
+    except UndecidedSign:
+        return a
+
+
+def _node_kinds(f, kinds):
+    kinds.add(type(f))
+    for h in vars(f).values():
+        if isinstance(h, ahom.AlmostHom):
+            _node_kinds(h, kinds)
+    return kinds
+
+
+def test_eval_range_of_a_linear_form_agrees_with_pointwise():
+    rng = random.Random(1616)
+    shared = [FloorSqrt(2), FloorSqrt(3), FloorLinear(1, 3), FloorLinear(-5, 2)]
+    kinds, cancelled = set(), 0
+    for _ in range(2000):
+        f = _combination_tree(rng, rng.randint(0, 3), shared)
+        _node_kinds(f, kinds)
+        cancelled += not linear_form(f)
+        big = [rng.randint(-10**12, 10**12) for _ in range(4)]
+        scattered = big + [rng.randint(-40, 40) for _ in range(4)]
+        for args in (range(-12, 13), range(-40, -30), scattered + scattered[::3]):
+            assert eval_range(f, args) == [f.eval(a) for a in args], format_rule(f)
+    assert kinds == {FloorLinear, FloorSqrt, Sum, Neg, IntScale, Compose, Invert}
+    assert cancelled >= 50
+
+
+def test_equals_within_agrees_with_the_two_tree_window_check():
+    rng = random.Random(1618)
+    shared = [FloorSqrt(2), FloorSqrt(5), FloorLinear(2, 3)]
+    answers = []
+    for _ in range(150):
+        f = _combination_tree(rng, rng.randint(0, 3), shared)
+        g = rng.choice(
+            (
+                parse_rule(format_rule(f)),
+                Sum(Neg(Neg(f)), IntScale(0, _combination_tree(rng, 2, shared))),
+                Sum(f, FloorLinear(1, rng.choice((1, 40, 700)))),
+                _combination_tree(rng, rng.randint(0, 3), shared),
+            )
+        )
+        for window in (1, 64, 1000):
+            want = window_equal(f, g, window)
+            assert EudoxusReal(f).equals_within(EudoxusReal(g), window) is want, (
+                format_rule(f), format_rule(g), window
+            )
+            answers.append(want)
+    assert answers.count(True) >= 100 and answers.count(False) >= 100
+
+
+def test_eval_range_of_an_invert_free_tree_adds_no_memo_entries():
+    def memo_sizes(f, sizes):
+        sizes.append(len(vars(f).get("_memo", ())))
+        for h in vars(f).values():
+            if isinstance(h, ahom.AlmostHom):
+                memo_sizes(h, sizes)
+        return sizes
+
+    rng = random.Random(1617)
+    checked = 0
+    while checked < 100:
+        f = _random_tree(rng, 3)
+        if Invert in _node_kinds(f, set()):
+            continue
+        before = memo_sizes(f, [])
+        eval_range(f, range(-300, 301))
+        assert memo_sizes(f, []) == before, format_rule(f)
+        checked += 1
 
 
 # -- discrepancy and certificates ------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -372,6 +373,49 @@ def test_certified_equal_answers_on_a_chain_whose_bounds_need_deep_evaluation():
         r = 2 * r + Fraction(1, 7)
     assert certified_equal(y, from_rational(r.numerator, r.denominator)) is True
     assert certified_equal(y, from_rational(r.numerator + 1, r.denominator)) is False
+
+
+def _radical_chain(terms: int) -> EudoxusReal:
+    """sqrt(2) + sqrt(3) + sqrt(3) + ..., a left-deep sum whose slope is None."""
+    x = from_sqrt_int(2)
+    for _ in range(terms - 1):
+        x = x.add(from_sqrt_int(3))
+    return x
+
+
+def test_window_checks_answer_on_long_chains_of_unlike_radicals():
+    x, y = _radical_chain(5000), _radical_chain(5000)
+    assert x.rep.slope is None and x.rep.depth == 4999
+    assert x.equals_within(y, 1000) is True
+    assert verify_bound(x.rep, 20).ok
+    assert certified_equal(x, y) is True
+
+
+def test_certified_equal_reads_equal_maps_built_apart():
+    x, y, z = from_sqrt_int(2), from_sqrt_int(3), from_rational(1, 7)
+    assert certified_equal(x.add(y).add(z), x.add(y.add(z))) is True
+    assert certified_equal(x.add(y).sub(y), from_sqrt_int(2)) is True
+    assert certified_equal(x.add(y), x.add(y).add(from_rational(1, 1))) is False
+
+
+def _balanced_sum(leaves):
+    while len(leaves) > 1:
+        leaves = [Sum(a, b) for a, b in zip(leaves[::2], leaves[1::2])]
+    return EudoxusReal(leaves[0])
+
+
+def test_a_window_check_keeps_no_values_between_points_or_calls():
+    # Two equal balanced sums of 4,096 leaves; values kept per node would
+    # hold several megabytes.
+    x = _balanced_sum([FloorSqrt(2 + i % 7) for i in range(4096)])
+    y = _balanced_sum([FloorSqrt(2 + i % 7) for i in range(4096)])
+    tracemalloc.start()
+    try:
+        assert x.equals_within(y, 1000) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_representative_certificates_hold_for_compounds():
