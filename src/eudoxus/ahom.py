@@ -7,12 +7,12 @@ An almost homomorphism is a total map f: Z -> Z whose discrepancy
 has finite range. Every value here is a node of a closed rule catalogue and
 carries a certified integer bound C with |d_f(p, q)| <= C for all p, q. The
 catalogue keeps evaluation total, deterministic and serializable. A node sets
-its bound, direction and exact slope when it is built, from its children's,
+its bound, direction, exact slope and hash when built, from its children's,
 so downstream error estimates are certificates rather than hopes, and a read
-costs O(1) at any depth. Evaluating a node more than SHALLOW levels deep
-walks an explicit stack, so depth is no limit on evaluation either. Bulk
-evaluation reads a tree's sums, negations and scales as one linear form over
-its distinct atoms (`linear_form`). No floating point is used anywhere here.
+costs O(1) at any depth. Nodes are equal when their rule texts are; the text,
+and the evaluation of a node over SHALLOW levels deep, run from explicit
+stacks, so depth is no limit. Bulk evaluation reads sums, negations and scales
+as one linear form over atoms keyed by value (`linear_form`). No floats.
 
 Concurrency: nodes are immutable after construction. The per-node memo table
 only caches values of a pure function, so concurrent use from several threads
@@ -46,21 +46,37 @@ class AlmostHom:
     """Base class of rule-tree nodes.
 
     Subclasses provide `_raw` (the closed-form evaluator) and, when built,
-    set four facts from their children's: `bound` (the certified
-    discrepancy bound), `direction` (the monotonicity the node has by
-    construction: +1 nondecreasing, -1 nonincreasing, 0 constant), `slope`
-    (the exact slope (q, k), meaning q*sqrt(k) with rational q and integer
-    k >= 1), None where the structure does not decide, and `depth`. The
-    facts are not dataclass fields, so frozen nodes write them through
-    `vars`, and they take no part in equality, hashing or the text form.
-    `eval` memoizes per node and evaluates a deep node without deep
-    recursion; evaluation is observationally pure.
+    record through `_facts` four facts set from their children's: `bound`
+    (the certified discrepancy bound), `direction` (the monotonicity the
+    node has by construction: +1 nondecreasing, -1 nonincreasing, 0
+    constant), `slope` (the exact slope (q, k), meaning q*sqrt(k) with
+    rational q and integer k >= 1), None where the structure does not
+    decide, and `depth`. `_facts` also fixes the node's hash from its type
+    and field values, a child's hash being stored already. Two nodes are
+    equal when they share type, hash and rule text; the text round-trips
+    exactly, so equal texts are equal trees. `eval` memoizes per node and
+    evaluates a deep node without deep recursion; evaluation is
+    observationally pure.
     """
 
     bound: int
     direction: int | None
     slope: tuple[Fraction, int] | None
     depth = 0  # levels of nodes below this one; leaves keep 0
+
+    def _facts(self, **facts) -> None:
+        """Record a node's facts and hash as it is built, through `vars`."""
+        key = (type(self), *[getattr(self, name) for name, _ in _RULE_FIELDS[type(self)]])
+        vars(self).update(facts, _hash=hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AlmostHom):
+            return NotImplemented
+        same = type(self) is type(other) and self._hash == other._hash
+        return self is other or (same and format_rule(self) == format_rule(other))
 
     @cached_property
     def _memo(self) -> dict:
@@ -86,7 +102,7 @@ class AlmostHom:
         return format_rule(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FloorLinear(AlmostHom):
     """a -> floor(p*a/q), the slope-p/q line sampled on the integers.
 
@@ -102,13 +118,13 @@ class FloorLinear(AlmostHom):
         if self.q < 1:
             raise ValueError("denominator must be a positive integer")
         p = self.p
-        vars(self).update(bound=1, direction=(p > 0) - (p < 0), slope=(Fraction(p, self.q), 1))
+        self._facts(bound=1, direction=(p > 0) - (p < 0), slope=(Fraction(p, self.q), 1))
 
     def _raw(self, a: int) -> int:
         return (self.p * a) // self.q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FloorSqrt(AlmostHom):
     """a -> sign(a) * isqrt(k * a^2), the slope-sqrt(k) map.
 
@@ -123,7 +139,7 @@ class FloorSqrt(AlmostHom):
         if self.k < 0:
             raise ValueError("radicand must be nonnegative")
         k = self.k
-        vars(self).update(
+        self._facts(
             bound=2, direction=1 if k else 0, slope=(Fraction(1), k) if k else (Fraction(0), 1)
         )
 
@@ -133,7 +149,7 @@ class FloorSqrt(AlmostHom):
         return isqrt(self.k * a * a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum(AlmostHom):
     """Pointwise sum; discrepancies add, so bounds add."""
 
@@ -152,7 +168,7 @@ class Sum(AlmostHom):
             (qa, ka), (qb, kb) = sa, sb
             r = isqrt(ka * kb)  # qb*sqrt(kb) = (qb*r/ka)*sqrt(ka) when r*r == ka*kb
             slope = (qa + qb * r / ka, ka) if r * r == ka * kb else None
-        vars(self).update(
+        self._facts(
             bound=a.bound + b.bound,
             depth=1 + max(a.depth, b.depth),
             direction=db if da == 0 else da if db == 0 or da == db else None,
@@ -166,7 +182,7 @@ class Sum(AlmostHom):
         return (self.left, a), (self.right, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(AlmostHom):
     """Pointwise negation; the bound is unchanged."""
 
@@ -175,7 +191,7 @@ class Neg(AlmostHom):
     def __post_init__(self):
         f = self.inner
         d, s = f.direction, f.slope
-        vars(self).update(
+        self._facts(
             bound=f.bound,
             depth=f.depth + 1,
             direction=None if d is None else -d,
@@ -189,7 +205,7 @@ class Neg(AlmostHom):
         return ((self.inner, a),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntScale(AlmostHom):
     """Pointwise integer multiple m*f; |d| scales by |m|."""
 
@@ -199,7 +215,7 @@ class IntScale(AlmostHom):
     def __post_init__(self):
         m, f = self.m, self.inner
         d, s = f.direction, f.slope
-        vars(self).update(
+        self._facts(
             bound=max(1, abs(m) * f.bound),
             depth=f.depth + 1,
             direction=0 if m == 0 else None if d is None else d if m > 0 else -d,
@@ -213,7 +229,7 @@ class IntScale(AlmostHom):
         return ((self.inner, a),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Compose(AlmostHom):
     """Composition outer(inner(a)).
 
@@ -245,7 +261,7 @@ class Compose(AlmostHom):
         g, f = self.outer, self.inner
         a, b = g.direction, f.direction
         sa, sb = g.slope, f.slope
-        vars(self).update(
+        self._facts(
             depth=1 + max(g.depth, f.depth),
             direction=0 if a == 0 or b == 0 else None if a is None or b is None else a * b,
             slope=None if sa is None or sb is None else (sa[0] * sb[0], sa[1] * sb[1]),
@@ -271,7 +287,7 @@ class Compose(AlmostHom):
         return ((self.outer, memo[a]),) if a in memo else ((self.inner, a),)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Invert(AlmostHom):
     """Order-theoretic inverse of a certified-positive almost homomorphism.
 
@@ -299,7 +315,7 @@ class Invert(AlmostHom):
         # ceilings 3 + ceil(3*C*n/(f(n) - C)).
         probes = [(n, f.eval(n)) for n in (self.witness_n << j for j in range(13))]
         s = f.slope
-        vars(self).update(
+        self._facts(
             bound=3 + min(-(-3 * c * n // (fn - c)) for n, fn in probes if fn > c),
             depth=f.depth + 1,
             direction=1,
@@ -380,8 +396,9 @@ def _eval_flat(f: AlmostHom, a: int) -> int:
 def linear_form(f: AlmostHom) -> dict:
     """f as {key: [atom, c]}: f = sum of c*atom at every point, each c != 0.
 
-    Sum, Neg and IntScale are walked from an explicit stack. A FloorLinear or
-    FloorSqrt leaf is keyed by value, any other atom by id while f holds it.
+    Sum, Neg and IntScale are walked from an explicit stack, and every other
+    node is an atom keyed by value: equal atoms merge, and opposite ones
+    cancel, also where they were built apart.
     """
     form = {}
     todo = [(f, 1)]
@@ -394,11 +411,10 @@ def linear_form(f: AlmostHom) -> dict:
         elif isinstance(g, IntScale):
             todo.append((g.inner, g.m * c))  # a zero coefficient cancels below
         else:
-            key = g if isinstance(g, (FloorLinear, FloorSqrt)) else id(g)
-            term = form.setdefault(key, [g, 0])
+            term = form.setdefault(g, [g, 0])
             term[1] += c
             if not term[1]:
-                del form[key]
+                del form[g]
     return form
 
 
@@ -407,9 +423,10 @@ def eval_range(f: AlmostHom, args) -> list[int]:
 
     Semantically identical to [f.eval(a) for a in args]. f is read as its
     `linear_form`, and each atom is evaluated once over all of args: a leaf
-    by its closed form, a Compose by two bulk passes, any other atom point by
-    point. Terms that cancel are never evaluated, and a sum of any depth
-    costs no recursion. Window checks and certificate audits lean on this.
+    by its closed form, a Compose at most SHALLOW levels deep by two bulk
+    passes, any other atom point by point through `eval`. Terms that cancel
+    are never evaluated, and a tree of any depth costs bounded recursion.
+    Window checks and certificate audits lean on this.
     """
     args = args if isinstance(args, list) else list(args)
     total = None
@@ -420,7 +437,7 @@ def eval_range(f: AlmostHom, args) -> list[int]:
         elif isinstance(g, FloorSqrt):
             k = g.k
             vals = [isqrt(k * a * a) if a >= 0 else -isqrt(k * a * a) for a in args]
-        elif isinstance(g, Compose):
+        elif isinstance(g, Compose) and g.depth <= SHALLOW:
             vals = eval_range(g.outer, eval_range(g.inner, args))
         else:
             vals = [g.eval(a) for a in args]
@@ -473,7 +490,8 @@ def verify_bound(f: AlmostHom, window: int) -> BoundReport:
 # | invert(A,n) -- no whitespace; round-trips exactly. The arguments are the
 # node's dataclass fields in declaration order, `/`-separated for `linear`
 # and `,`-separated otherwise: an `int` field is an integer (annotations are
-# strings in this module), any other field a nested rule.
+# strings in this module), any other field a nested rule. Both directions
+# run from an explicit stack, so text of any depth is read and printed.
 
 _RULE_CLASSES = {
     "linear": FloorLinear,
@@ -485,6 +503,8 @@ _RULE_CLASSES = {
     "invert": Invert,
 }
 _RULE_TAGS = {cls: tag for tag, cls in _RULE_CLASSES.items()}
+# Each node class's fields as (name, is an integer) pairs, read once.
+_RULE_FIELDS = {cls: [(f.name, f.type == "int") for f in fields(cls)] for cls in _RULE_TAGS}
 
 
 def _separator(cls) -> str:
@@ -492,14 +512,22 @@ def _separator(cls) -> str:
 
 
 def format_rule(f: AlmostHom) -> str:
-    cls = type(f)
-    if cls not in _RULE_TAGS:
-        raise TypeError(f"unknown rule node {cls.__name__}")
-    args = (
-        (str if field.type == "int" else format_rule)(getattr(f, field.name))
-        for field in fields(cls)
-    )
-    return f"{_RULE_TAGS[cls]}({_separator(cls).join(args)})"
+    """f's canonical text, its tokens emitted in pre-order from a stack."""
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        cls = type(g)
+        if cls is str:
+            out.append(g)
+        elif cls in _RULE_TAGS:
+            todo.append(")")
+            for name, is_int in reversed(_RULE_FIELDS[cls]):
+                v = getattr(g, name)
+                todo += str(v) if is_int else v, _separator(cls)
+            todo[-1] = _RULE_TAGS[cls] + "("  # replaces the separator before the first field
+        else:
+            raise TypeError(f"unknown rule node {cls.__name__}")
+    return "".join(out)
 
 
 # One token is a name, an integer or any other single character, and an empty
@@ -511,9 +539,11 @@ _RULE_TOKEN = re.compile(r"([A-Za-z]+)|(-?[0-9]+)|(.|\Z)", re.S)
 def parse_rule(text: str) -> AlmostHom:
     """Parse the canonical text form; inverse of `format_rule`.
 
-    One pass splits the text into tokens. Malformed text raises
-    RuleSyntaxError at the offset of the first token out of place, and a node
-    whose constructor rejects its arguments at the offset of the node's name.
+    One pass splits the text into tokens, and one frame per open rule holds
+    its name token, its class and the arguments read so far. Malformed text
+    raises RuleSyntaxError at the offset of the first token out of place, and
+    a node whose constructor rejects its arguments at the offset of the
+    node's name.
     """
     tokens = _RULE_TOKEN.finditer(text)
 
@@ -535,25 +565,33 @@ def parse_rule(text: str) -> AlmostHom:
         except ValueError:  # more digits than the interpreter converts
             raise RuleSyntaxError("integer too long", tok.start()) from None
 
-    def rule() -> AlmostHom:
+    def open_rule() -> tuple:
         name = take("rule name")
         take("'('")
         cls = _RULE_CLASSES.get(name[0])
         if cls is None:
             raise RuleSyntaxError(f"unknown rule name {name[0]!r}", name.end() + 1)
-        args = []
-        for field in fields(cls):
+        return name, cls, []
+
+    frames = [open_rule()]
+    while frames:
+        name, cls, args = frames[-1]
+        if len(args) < len(_RULE_FIELDS[cls]):
             if args:
                 take(repr(_separator(cls)))
-            args.append(integer() if field.type == "int" else rule())
+            if _RULE_FIELDS[cls][len(args)][1]:
+                args.append(integer())
+            else:
+                frames.append(open_rule())
+            continue
         try:
             node = cls(*args)
         except ValueError as exc:
             raise RuleSyntaxError(str(exc), name.start()) from None
         take("')'")
-        return node
-
-    node = rule()
+        frames.pop()
+        if frames:
+            frames[-1][2].append(node)
     trailing = next(tokens)
     if trailing[0]:
         raise RuleSyntaxError("trailing input after rule", trailing.start())

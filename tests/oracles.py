@@ -8,6 +8,7 @@ reconstruction by Gaussian elimination over Fractions.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from math import ceil, lcm
@@ -429,6 +430,21 @@ def tree_slope(f):
             return None
         return 1 / (s[0] * s[1]), s[1]
     return None
+
+
+def structural_key(f):
+    """A rule tree as nested tuples (type name, field values, children's
+    keys), built by walking the whole tree: two trees are the same exactly
+    when their keys are equal."""
+    from eudoxus import ahom
+
+    values = [getattr(f, field.name) for field in fields(f)]
+    children = [v for v in values if isinstance(v, ahom.AlmostHom)]
+    return (
+        type(f).__name__,
+        tuple(v for v in values if not isinstance(v, ahom.AlmostHom)),
+        tuple(structural_key(c) for c in children),
+    )
 
 
 def window_equal(f, g, window: int) -> bool:

@@ -20,9 +20,9 @@ from eudoxus.ahom import (
     parse_rule,
     verify_bound,
 )
-from eudoxus.reals import EudoxusReal, UndecidedSign
+from eudoxus.reals import EudoxusReal, UndecidedSign, certified_equal
 
-from oracles import bisect_isqrt, invert_bound, least_reaching, window_equal
+from oracles import bisect_isqrt, invert_bound, least_reaching, structural_key, window_equal
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -69,11 +69,11 @@ def test_eval_range_agrees_with_pointwise():
 def test_linear_form_merges_like_leaves_and_cancels_opposite_terms():
     x, y = FloorSqrt(2), Compose(FloorSqrt(3), FloorLinear(1, 2))
     f = Sum(Sum(x, IntScale(3, FloorSqrt(2))), Sum(Neg(y), IntScale(0, FloorLinear(5, 1))))
-    assert linear_form(f) == {x: [x, 4], id(y): [y, -1]}
+    assert linear_form(f) == {x: [x, 4], y: [y, -1]}
     assert linear_form(Sum(f, Neg(f))) == {}
-    # A Compose is keyed by identity: one built apart does not cancel.
+    # Every atom is keyed by value: a Compose built apart cancels too.
     twin = Compose(FloorSqrt(3), FloorLinear(1, 2))
-    assert len(linear_form(Sum(y, Neg(twin)))) == 2
+    assert linear_form(Sum(y, Neg(twin))) == {}
 
 
 def _combination_tree(rng, depth, shared):
@@ -118,20 +118,39 @@ def _node_kinds(f, kinds):
     return kinds
 
 
-def test_eval_range_of_a_linear_form_agrees_with_pointwise():
-    rng = random.Random(1616)
+def test_eval_range_of_a_linear_form_agrees_with_pointwise(monkeypatch):
+    # With SHALLOW at 0 every Compose atom is evaluated point by point.
+    for shallow in (ahom.SHALLOW, 0):
+        monkeypatch.setattr(ahom, "SHALLOW", shallow)
+        rng = random.Random(1616)
+        shared = [FloorSqrt(2), FloorSqrt(3), FloorLinear(1, 3), FloorLinear(-5, 2)]
+        kinds, cancelled = set(), 0
+        for _ in range(2000):
+            f = _combination_tree(rng, rng.randint(0, 3), shared)
+            _node_kinds(f, kinds)
+            cancelled += not linear_form(f)
+            big = [rng.randint(-10**12, 10**12) for _ in range(4)]
+            scattered = big + [rng.randint(-40, 40) for _ in range(4)]
+            for args in (range(-12, 13), range(-40, -30), scattered + scattered[::3]):
+                assert eval_range(f, args) == [f.eval(a) for a in args], format_rule(f)
+        assert kinds == {FloorLinear, FloorSqrt, Sum, Neg, IntScale, Compose, Invert}
+        assert cancelled >= 50
+
+
+def test_equality_and_hash_agree_with_the_structural_key():
+    rng = random.Random(1619)
     shared = [FloorSqrt(2), FloorSqrt(3), FloorLinear(1, 3), FloorLinear(-5, 2)]
-    kinds, cancelled = set(), 0
+    equal = 0
     for _ in range(2000):
         f = _combination_tree(rng, rng.randint(0, 3), shared)
-        _node_kinds(f, kinds)
-        cancelled += not linear_form(f)
-        big = [rng.randint(-10**12, 10**12) for _ in range(4)]
-        scattered = big + [rng.randint(-40, 40) for _ in range(4)]
-        for args in (range(-12, 13), range(-40, -30), scattered + scattered[::3]):
-            assert eval_range(f, args) == [f.eval(a) for a in args], format_rule(f)
-    assert kinds == {FloorLinear, FloorSqrt, Sum, Neg, IntScale, Compose, Invert}
-    assert cancelled >= 50
+        twin = parse_rule(format_rule(f))
+        g = rng.choice((twin, _combination_tree(rng, rng.randint(0, 3), shared)))
+        same = structural_key(f) == structural_key(g)
+        assert (f == g) is same, (format_rule(f), format_rule(g))
+        if f == g:
+            assert hash(f) == hash(g), format_rule(f)
+            equal += 1
+    assert equal >= 900 and 2000 - equal >= 900
 
 
 def test_equals_within_agrees_with_the_two_tree_window_check():
@@ -500,11 +519,15 @@ def test_flat_evaluation_makes_the_calls_and_memo_entries_recursion_makes(monkey
 
 
 def test_evaluation_of_a_deep_chain_stays_below_the_recursion_limit():
-    f = FloorSqrt(2)
+    f = g = FloorSqrt(2)
     for _ in range(3000):
         f = Compose(Sum(f, FloorLinear(1, 7)), FloorLinear(1, 1))
+        g = Compose(Sum(g, FloorLinear(1, 7)), FloorLinear(1, 1))
     assert f.depth == 6000
     assert f.eval(7) == 9 + 3000  # floor(7*sqrt(2)) plus 3000 times floor(7/7)
+    assert eval_range(f, range(-3, 4)) == [f.eval(a) for a in range(-3, 4)]
+    assert verify_bound(f, 2).ok
+    assert certified_equal(EudoxusReal(f), EudoxusReal(g)) is True
 
 
 def test_compose_endpoint_peak_equals_full_scan():

@@ -16,6 +16,8 @@ from eudoxus.ahom import (
     Invert,
     Neg,
     Sum,
+    format_rule,
+    parse_rule,
     verify_bound,
 )
 from eudoxus.reals import (
@@ -389,6 +391,11 @@ def test_window_checks_answer_on_long_chains_of_unlike_radicals():
     assert x.equals_within(y, 1000) is True
     assert verify_bound(x.rep, 20).ok
     assert certified_equal(x, y) is True
+    # Rule text, hashing and equality answer at this depth too.
+    assert str(x.rep) == str(y.rep) and str(x.rep).startswith("sum(sum(sum(")
+    assert hash(x.rep) == hash(y.rep) and x.rep == y.rep
+    assert parse_rule(format_rule(x.rep)) == x.rep
+    assert certified_equal(x, x.add(from_sqrt_int(3))) is None
 
 
 def test_certified_equal_reads_equal_maps_built_apart():
