@@ -9,9 +9,9 @@ carries a certified integer bound C with |d_f(p, q)| <= C for all p, q. The
 catalogue keeps evaluation total, deterministic and serializable. A node sets
 its bound, direction, exact slope and hash when built, from its children's,
 so downstream error estimates are certificates rather than hopes, and a read
-costs O(1) at any depth. Nodes are equal when their rule texts are; the text,
-and the evaluation of a node over SHALLOW levels deep, run from explicit
-stacks, so depth is no limit. Bulk evaluation reads sums, negations and scales
+costs O(1) at any depth. Equality, the rule text and `repr`, and the
+evaluation of a node over SHALLOW levels deep, run from explicit stacks, so
+depth is no limit. Bulk evaluation reads sums, negations and scales
 as one linear form over atoms keyed by value (`linear_form`). No floats.
 
 Concurrency: nodes are immutable after construction. The per-node memo table
@@ -53,10 +53,11 @@ class AlmostHom:
     rational q and integer k >= 1), None where the structure does not
     decide, and `depth`. `_facts` also fixes the node's hash from its type
     and field values, a child's hash being stored already. Two nodes are
-    equal when they share type, hash and rule text; the text round-trips
-    exactly, so equal texts are equal trees. `eval` memoizes per node and
-    evaluates a deep node without deep recursion; evaluation is
-    observationally pure.
+    equal when they share type, hash and integer fields and their children
+    are equal, compared pair by pair from a stack that skips a subtree both
+    sides share. `repr` is the `parse_rule` call that rebuilds the node.
+    `eval` memoizes per node and evaluates a deep node without deep
+    recursion; evaluation is observationally pure.
     """
 
     bound: int
@@ -75,8 +76,23 @@ class AlmostHom:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlmostHom):
             return NotImplemented
-        same = type(self) is type(other) and self._hash == other._hash
-        return self is other or (same and format_rule(self) == format_rule(other))
+        pairs = [(self, other)]
+        while pairs:
+            f, g = pairs.pop()
+            if f is g:
+                continue
+            if type(f) is not type(g) or f._hash != g._hash:
+                return False
+            for name, is_int in _RULE_FIELDS[type(f)]:
+                a, b = getattr(f, name), getattr(g, name)
+                if not is_int:
+                    pairs.append((a, b))
+                elif a != b:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        return f"parse_rule({format_rule(self)!r})"
 
     @cached_property
     def _memo(self) -> dict:
@@ -102,7 +118,7 @@ class AlmostHom:
         return format_rule(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FloorLinear(AlmostHom):
     """a -> floor(p*a/q), the slope-p/q line sampled on the integers.
 
@@ -124,7 +140,7 @@ class FloorLinear(AlmostHom):
         return (self.p * a) // self.q
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FloorSqrt(AlmostHom):
     """a -> sign(a) * isqrt(k * a^2), the slope-sqrt(k) map.
 
@@ -149,7 +165,7 @@ class FloorSqrt(AlmostHom):
         return isqrt(self.k * a * a)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sum(AlmostHom):
     """Pointwise sum; discrepancies add, so bounds add."""
 
@@ -182,7 +198,7 @@ class Sum(AlmostHom):
         return (self.left, a), (self.right, a)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(AlmostHom):
     """Pointwise negation; the bound is unchanged."""
 
@@ -205,7 +221,7 @@ class Neg(AlmostHom):
         return ((self.inner, a),)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class IntScale(AlmostHom):
     """Pointwise integer multiple m*f; |d| scales by |m|."""
 
@@ -229,7 +245,7 @@ class IntScale(AlmostHom):
         return ((self.inner, a),)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Compose(AlmostHom):
     """Composition outer(inner(a)).
 
@@ -287,7 +303,7 @@ class Compose(AlmostHom):
         return ((self.outer, memo[a]),) if a in memo else ((self.inner, a),)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Invert(AlmostHom):
     """Order-theoretic inverse of a certified-positive almost homomorphism.
 

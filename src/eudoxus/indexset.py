@@ -4,9 +4,13 @@ A set is stored as a finite preperiod bit string plus a repeating period bit
 string; membership of n is pre[n] for n < |pre| and period[n mod |period|]
 otherwise. Phase is absolute (indexed by n itself, not by n - |pre|), which
 keeps alignment of binary operations trivial. Construction always
-canonicalizes: minimal period by divisor search, then minimal preperiod by
-absorbing trailing bits the period already explains, so equal sets are
-structurally identical.
+canonicalizes, so equal sets are structurally identical. The minimal period
+comes by prime-factor descent: for each prime q of the length d, the period
+shrinks to its first d/q bits while it is that prefix repeated q times (one
+string comparison); the periods of a cyclic word are closed under gcd, so
+this reaches the least one. The minimal preperiod comes in one step: XOR the
+preperiod with the period tiled at absolute phase, and the lowest set bit
+marks the last bit the period does not explain.
 
 The binary operations work on integer bitmasks, a machine word at a time in
 C, not on one bit at a time. Each operand's period, tiled to the common
@@ -81,14 +85,22 @@ class IndexSet:
 
 
 def _canonicalize(pre: str, period: str) -> tuple[str, str]:
-    d = len(period)
-    for cand in range(1, d + 1):
-        if d % cand == 0 and period == period[:cand] * (d // cand):
-            period = period[:cand]
-            d = cand
-            break
-    while pre and pre[-1] == period[(len(pre) - 1) % d]:
-        pre = pre[:-1]
+    d = rest = len(period)
+    q = 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest  # what is left is prime
+        if rest % q:
+            q += 1
+            continue
+        rest //= q
+        if period[: d // q] * q == period:
+            d //= q
+            period = period[:d]
+    if pre:  # the lowest bit where pre and the tiled period differ ends pre
+        n = len(pre)
+        diff = int(pre, 2) ^ int((period * (n // d + 1))[:n], 2)
+        pre = pre[: n + 1 - (diff & -diff).bit_length()] if diff else ""
     return pre, period
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -528,6 +529,15 @@ def test_evaluation_of_a_deep_chain_stays_below_the_recursion_limit():
     assert eval_range(f, range(-3, 4)) == [f.eval(a) for a in range(-3, 4)]
     assert verify_bound(f, 2).ok
     assert certified_equal(EudoxusReal(f), EudoxusReal(g)) is True
+    # Twins built over shared subtrees compare without entering them: h has
+    # 21 distinct nodes but 2^20 leaves, whose walk or rule text takes seconds.
+    h = FloorSqrt(2)
+    for _ in range(20):
+        h = Sum(h, h)
+    start = time.perf_counter()
+    assert certified_equal(EudoxusReal(Compose(h, f)), EudoxusReal(Compose(h, f))) is True
+    assert Sum(h, FloorSqrt(3)) != Sum(h, FloorSqrt(5))
+    assert time.perf_counter() - start < 1
 
 
 def test_compose_endpoint_peak_equals_full_scan():

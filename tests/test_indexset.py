@@ -157,3 +157,68 @@ def test_classification_predicates():
 def test_singleton_rejects_negative_index():
     with pytest.raises(ValueError, match="natural numbers"):
         singleton(-3)
+
+
+def _canonical_by_oracle(pre: str, period: str) -> tuple[str, str]:
+    return periodic_set_form(_membership(pre, period), len(pre), len(period))
+
+
+def _assert_canonical(pre: str, period: str) -> None:
+    s = IndexSet(pre, period)
+    assert (s.pre, s.period) == _canonical_by_oracle(pre, period), (pre, period)
+
+
+def _bits(rng: random.Random, n: int) -> str:
+    return "".join(rng.choice("01") for _ in range(n))
+
+
+@pytest.mark.parametrize("length", [840, 4096, 27720])
+def test_canonical_form_of_words_tiled_to_smooth_lengths(length):
+    rng = random.Random(length)
+    divisors = [m for m in range(1, length + 1) if length % m == 0]
+    for m in rng.sample(divisors, 10) + [length]:
+        word = _bits(rng, m)
+        _assert_canonical(_bits(rng, rng.randint(0, 8)), word * (length // m))
+
+
+def test_canonical_form_at_prime_and_prime_square_lengths():
+    rng = random.Random(2722)
+    lengths = [(p, p**e) for p in (2, 3, 5, 7, 11, 13, 31, 101) for e in (1, 2)]
+    for p, length in lengths + [(1009, 1009)]:
+        for word in ("0" * length, "1" * length, _bits(rng, length), _bits(rng, p) * (length // p)):
+            _assert_canonical(_bits(rng, rng.randint(0, 5)), word)
+
+
+def test_canonical_form_of_sparse_periods():
+    rng = random.Random(2723)
+    for ones in (1, 2, 3):
+        for _ in range(20):
+            if rng.random() < 0.5:  # evenly spaced ones: the period is 840 / ones
+                first = rng.randrange(840 // ones)
+                at = {first + k * 840 // ones for k in range(ones)}
+            else:
+                at = set(rng.sample(range(840), ones))
+            period = "".join("1" if i in at else "0" for i in range(840))
+            _assert_canonical(_bits(rng, rng.randint(0, 6)), period)
+
+
+def test_canonical_form_trims_preperiod_bits_the_period_explains():
+    rng = random.Random(2724)
+    for _ in range(500):
+        word = _bits(rng, rng.randint(1, 12))
+        period = word * rng.randint(1, 5)
+        head = _bits(rng, rng.randint(0, 10))
+        n = len(head) + rng.randint(0, 40)
+        tiled = period * (n // len(period) + 1)
+        _assert_canonical(head + tiled[len(head) : n], period)
+
+
+def test_a_long_preperiod_is_trimmed_to_its_last_unexplained_bit():
+    period = "011010"
+    n = 131_072
+    tiled = (period * (n // len(period) + 1))[:n]
+    for k in (0, 77, n - 1):
+        flipped = "1" if tiled[k] == "0" else "0"
+        s = IndexSet(tiled[:k] + flipped + tiled[k + 1 :], period)
+        assert (s.pre, s.period) == (tiled[:k] + flipped, period)
+    assert IndexSet(tiled, period * 4) == IndexSet("", period)

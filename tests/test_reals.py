@@ -395,6 +395,8 @@ def test_window_checks_answer_on_long_chains_of_unlike_radicals():
     assert str(x.rep) == str(y.rep) and str(x.rep).startswith("sum(sum(sum(")
     assert hash(x.rep) == hash(y.rep) and x.rep == y.rep
     assert parse_rule(format_rule(x.rep)) == x.rep
+    assert repr(x.rep) == f"parse_rule({str(x.rep)!r})"
+    assert eval(repr(x.rep), {"parse_rule": parse_rule}) == x.rep
     assert certified_equal(x, x.add(from_sqrt_int(3))) is None
 
 
