@@ -76,7 +76,9 @@ class AlmostHom:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlmostHom):
             return NotImplemented
-        pairs = [(self, other)]
+        # Each pair of subtrees is compared once, also where the trees share
+        # them; `seen` is made with the first child pair, so leaves skip it.
+        pairs, seen = [(self, other)], None
         while pairs:
             f, g = pairs.pop()
             if f is g:
@@ -86,7 +88,11 @@ class AlmostHom:
             for name, is_int in _RULE_FIELDS[type(f)]:
                 a, b = getattr(f, name), getattr(g, name)
                 if not is_int:
-                    pairs.append((a, b))
+                    if seen is None:
+                        seen = set()
+                    if (id(a), id(b)) not in seen:
+                        seen.add((id(a), id(b)))
+                        pairs.append((a, b))
                 elif a != b:
                     return False
         return True
@@ -383,7 +389,8 @@ class Invert(AlmostHom):
 
 
 # A node at most this many levels deep is evaluated by plain recursion, a
-# few frames per level; a deeper one by `_eval_flat`.
+# few frames per level; a deeper one by `_eval_flat`. Recursion stays because
+# evaluating every tree from the stack slowed real-digits.
 SHALLOW = 64
 
 

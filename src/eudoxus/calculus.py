@@ -38,9 +38,7 @@ class RatFunction(polyq.RatFun):
         return f"({num})/({polyq.format_poly(self.den, 'x')})"
 
 
-def constant(q) -> RatFunction:
-    q = Fraction(q)
-    return RatFunction((q.numerator,), (q.denominator,))
+constant = RatFunction.constant
 
 
 def variable() -> RatFunction:

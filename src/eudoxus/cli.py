@@ -101,9 +101,10 @@ def _read_text(path: str, what: str) -> str:
 # -- expression evaluation ----------------------------------------------------
 
 
-# Each builder returns a table mapping an AST node type to its handler for
-# `expr.fold`. The germ table reaches `hyper` through the module at call
-# time, so wrappers installed on `hyper`'s functions see every call.
+# Two tables for `expr.fold`, one per value tier: `_real_ops` folds a real
+# into rule trees, `_quotient_ops(view)` folds anything else into the given
+# view of `polyq.RatFun`. The quotient table reaches `hyper` through the
+# module at call time, so wrappers installed on its functions see every call.
 
 
 def _real_power(base, k: int):
@@ -154,52 +155,35 @@ def _real_ops(budget: int) -> tuple[dict, dict]:
     return table, {**expr.CHILDREN, expr.Div: ("right", "left")}
 
 
-def _germ_ops() -> dict:
+def _quotient_ops(view) -> dict:
+    """The quotient table, building values of `view`; `expr.typecheck` has
+    already rejected every leaf the context does not admit."""
     from . import expr, hyper
 
     return {
-        expr.IntLit: lambda n: hyper.from_real(n.value),
-        expr.RatLit: lambda n: hyper.from_real(n.value),
-        expr.SqrtInt: lambda n: hyper.from_real(expr.exact_int_sqrt(n.k)),
+        expr.IntLit: lambda n: view.constant(n.value),
+        expr.RatLit: lambda n: view.constant(n.value),
+        expr.SqrtInt: lambda n: view.constant(expr.exact_int_sqrt(n.k)),
         expr.Dx: lambda n: hyper.dx(),
         expr.Omega: lambda n: hyper.omega(),
+        expr.Var: lambda n: view((0, 1), (1,)),
         expr.Add: lambda n, a, b: hyper.add(a, b),
         expr.Sub: lambda n, a, b: hyper.sub(a, b),
         expr.Mul: lambda n, a, b: hyper.mul(a, b),
         expr.Div: lambda n, a, b: hyper.div(a, b),
         expr.Pow: lambda n, x: hyper.pow_(x, n.exponent),
-        expr.St: lambda n, x: hyper.from_real(hyper.standard_part(x)),
+        expr.St: lambda n, x: view.constant(hyper.standard_part(x)),
         expr.Classify: lambda n, x: x,
     }
 
 
-def _ratfn_ops() -> dict:
-    from . import calculus, expr
-
-    return {
-        expr.IntLit: lambda n: calculus.constant(n.value),
-        expr.RatLit: lambda n: calculus.constant(n.value),
-        expr.Var: lambda n: calculus.variable(),
-        expr.Add: lambda n, a, b: a + b,
-        expr.Sub: lambda n, a, b: a - b,
-        expr.Mul: lambda n, a, b: a * b,
-        expr.Div: lambda n, a, b: a / b,
-        expr.Pow: lambda n, f: f**n.exponent,
-    }
-
-
 def _is_exact_zero(node) -> bool:
-    from . import calculus, expr
+    from . import expr, polyq
 
     # A real expression whose square roots are all of perfect squares is a
     # rational constant.
-    exact = {
-        **_ratfn_ops(),
-        expr.SqrtInt: lambda n: calculus.constant(expr.exact_int_sqrt(n.k)),
-        expr.St: lambda n, x: x,
-    }
     try:
-        return expr.fold(node, exact).is_zero()
+        return expr.fold(node, _quotient_ops(polyq.RatFun)).is_zero()
     except expr.SortError:  # an irrational sqrt(k) has no exact value
         return False
 
@@ -225,7 +209,7 @@ def cmd_hyper_eval(args, cfg: Config):
 
     tree = expr.parse(args.expr)
     expr.typecheck(tree, expr.Context.HYPER)
-    value = expr.fold(tree, _germ_ops())
+    value = expr.fold(tree, _quotient_ops(hyper.RationalSlopeGerm))
     cls = hyper.classify(value)
     lines = [f"class: {cls.kind.value}"]
     st_text = None
@@ -250,7 +234,7 @@ def cmd_derive(args, cfg: Config):
 
     tree = expr.parse(args.poly)
     expr.typecheck(tree, expr.Context.DERIVE)
-    fn = expr.fold(tree, _ratfn_ops())
+    fn = expr.fold(tree, _quotient_ops(calculus.RatFunction))
     slope = calculus.derivative_at(fn, args.at)
     exact = polyq.fraction_text(slope)
     decimal = reals.decimal_of_fraction(slope, cfg.default_precision)
@@ -335,11 +319,11 @@ def cmd_ultra_trace(args, cfg: Config):
 
 
 def cmd_lup_check(args, cfg: Config):
-    from . import expr, indexset, lup
+    from . import expr, hyper, indexset, lup
 
     tree = expr.parse(args.expr)
     expr.typecheck(tree, expr.Context.HYPER)
-    value = expr.fold(tree, _germ_ops())
+    value = expr.fold(tree, _quotient_ops(hyper.RationalSlopeGerm))
     chunks = re.split(r";\s*(?=pre:)", args.partition.strip())
     partition = lup.Partition(tuple(indexset.parse(c.strip()) for c in chunks))
     admissible = lup.is_admissible(value, lup.LimitFilterSpec((partition,)))

@@ -69,11 +69,7 @@ def omega() -> RationalSlopeGerm:
     return germ((0, 1))
 
 
-def from_real(q) -> RationalSlopeGerm:
-    """Constant-in-index embedding of a rational number."""
-    q = Fraction(q)
-    return germ((q.numerator,), (q.denominator,))
-
+from_real = RationalSlopeGerm.constant  # constant in the index
 
 add = RationalSlopeGerm.__add__
 sub = RationalSlopeGerm.__sub__

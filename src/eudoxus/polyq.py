@@ -203,6 +203,12 @@ class RatFun:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def constant(cls, q):
+        """The rational number q as a constant quotient."""
+        q = Fraction(q)
+        return cls((q.numerator,), (q.denominator,))
+
     def pole(self, x) -> Exception:
         return ZeroDivisionError(f"pole at {x}")
 

@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -538,6 +541,30 @@ def test_evaluation_of_a_deep_chain_stays_below_the_recursion_limit():
     assert certified_equal(EudoxusReal(Compose(h, f)), EudoxusReal(Compose(h, f))) is True
     assert Sum(h, FloorSqrt(3)) != Sum(h, FloorSqrt(5))
     assert time.perf_counter() - start < 1
+
+
+def test_equality_walks_shared_subtrees_once():
+    # Each DAG has 61 distinct nodes and 2^60 paths, so a walk of the tree
+    # would not end; a child process lets the timeout fail the test instead.
+    code = (
+        "from eudoxus.ahom import FloorSqrt, Sum\n"
+        "def dag(leaf):\n"
+        "    f = leaf\n"
+        "    for _ in range(60):\n"
+        "        f = Sum(f, f)\n"
+        "    return f\n"
+        "print(dag(FloorSqrt(2)) == dag(FloorSqrt(2)), dag(FloorSqrt(2)) == dag(FloorSqrt(3)))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        encoding="utf-8",
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_compose_endpoint_peak_equals_full_scan():

@@ -61,7 +61,10 @@ def test_digits_budget_exhaustion_exits_2(capsys):
     assert code == 2 and "budget" in err
 
 
-@pytest.mark.parametrize("text", ["1/0", "1/(2-2)", "sqrt(2)/(3-3)"])
+@pytest.mark.parametrize(
+    "text",
+    ["1/0", "1/(2-2)", "sqrt(2)/(3-3)", "1/st(2-2)", "1/(sqrt(9)-3)^2", "1/(1/(sqrt(4)-2))"],
+)
 def test_digits_exact_zero_divisor_exits_3(text, capsys):
     code, out, err = run_cli(["digits", text], capsys)
     assert (code, out, err) == (3, "", "error: division by zero\n")
@@ -91,8 +94,9 @@ def test_digits_perfect_square_root_divisors(text, code, out, err, capsys):
 
 
 def test_irrational_root_divisor_stays_undecided(capsys):
-    code, out, err = run_cli(["digits", "1/(sqrt(3)*sqrt(3)-3)"], capsys)
-    assert (code, out) == (2, "") and err.startswith("budget exhausted")
+    for text in ("1/(sqrt(3)*sqrt(3)-3)", "1/st(sqrt(3)*sqrt(3)-3)"):
+        code, out, err = run_cli(["digits", text], capsys)
+        assert (code, out) == (2, "") and err.startswith("budget exhausted"), text
 
 
 def test_parse_error_exits_1(capsys):
