@@ -22,10 +22,11 @@ is safe (a race can at worst recompute the same value).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
+
+from . import Record
 
 
 class CertificateError(Exception):
@@ -42,7 +43,7 @@ class RuleSyntaxError(ValueError):
         self.offset = offset
 
 
-class AlmostHom:
+class AlmostHom(Record):
     """Base class of rule-tree nodes.
 
     Subclasses provide `_raw` (the closed-form evaluator) and, when built,
@@ -60,15 +61,11 @@ class AlmostHom:
     recursion; evaluation is observationally pure.
     """
 
-    bound: int
-    direction: int | None
-    slope: tuple[Fraction, int] | None
     depth = 0  # levels of nodes below this one; leaves keep 0
 
     def _facts(self, **facts) -> None:
         """Record a node's facts and hash as it is built, through `vars`."""
-        key = (type(self), *[getattr(self, name) for name, _ in _RULE_FIELDS[type(self)]])
-        vars(self).update(facts, _hash=hash(key))
+        vars(self).update(facts, _hash=hash((type(self), *self._values())))
 
     def __hash__(self) -> int:
         return self._hash
@@ -124,7 +121,6 @@ class AlmostHom:
         return format_rule(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class FloorLinear(AlmostHom):
     """a -> floor(p*a/q), the slope-p/q line sampled on the integers.
 
@@ -146,7 +142,6 @@ class FloorLinear(AlmostHom):
         return (self.p * a) // self.q
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class FloorSqrt(AlmostHom):
     """a -> sign(a) * isqrt(k * a^2), the slope-sqrt(k) map.
 
@@ -171,7 +166,6 @@ class FloorSqrt(AlmostHom):
         return isqrt(self.k * a * a)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Sum(AlmostHom):
     """Pointwise sum; discrepancies add, so bounds add."""
 
@@ -204,7 +198,6 @@ class Sum(AlmostHom):
         return (self.left, a), (self.right, a)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Neg(AlmostHom):
     """Pointwise negation; the bound is unchanged."""
 
@@ -227,7 +220,6 @@ class Neg(AlmostHom):
         return ((self.inner, a),)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class IntScale(AlmostHom):
     """Pointwise integer multiple m*f; |d| scales by |m|."""
 
@@ -251,7 +243,6 @@ class IntScale(AlmostHom):
         return ((self.inner, a),)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Compose(AlmostHom):
     """Composition outer(inner(a)).
 
@@ -309,7 +300,6 @@ class Compose(AlmostHom):
         return ((self.outer, memo[a]),) if a in memo else ((self.inner, a),)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Invert(AlmostHom):
     """Order-theoretic inverse of a certified-positive almost homomorphism.
 
@@ -482,8 +472,7 @@ def discrepancy(f: AlmostHom, p: int, q: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     max_abs_discrepancy: int
     ok: bool
 
@@ -511,7 +500,7 @@ def verify_bound(f: AlmostHom, window: int) -> BoundReport:
 #
 # linear(p/q) | sqrt(k) | sum(A,B) | neg(A) | scale(m,A) | compose(A,B)
 # | invert(A,n) -- no whitespace; round-trips exactly. The arguments are the
-# node's dataclass fields in declaration order, `/`-separated for `linear`
+# node's fields in declaration order, `/`-separated for `linear`
 # and `,`-separated otherwise: an `int` field is an integer (annotations are
 # strings in this module), any other field a nested rule. Both directions
 # run from an explicit stack, so text of any depth is read and printed.
@@ -527,7 +516,7 @@ _RULE_CLASSES = {
 }
 _RULE_TAGS = {cls: tag for tag, cls in _RULE_CLASSES.items()}
 # Each node class's fields as (name, is an integer) pairs, read once.
-_RULE_FIELDS = {cls: [(f.name, f.type == "int") for f in fields(cls)] for cls in _RULE_TAGS}
+_RULE_FIELDS = {c: [(n, t == "int") for n, t in c.__annotations__.items()] for c in _RULE_TAGS}
 
 
 def _separator(cls) -> str:

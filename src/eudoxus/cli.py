@@ -26,7 +26,6 @@ import re
 import shutil
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,8 +46,9 @@ class ConfigError(ValueError):
     exit_code = EXIT_USAGE
 
 
-@dataclass
 class Config:
+    """The settings: each annotated name is a key, set to its default here."""
+
     budget: int = 2**20
     default_precision: int = 10
     state_path: str = "ultra.trace"
@@ -68,15 +68,15 @@ def load_config(path: str | None) -> Config:
                 raise ConfigError(f"line {line_no}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             _set_config_key(cfg, key, value, f"line {line_no}")
-    for field in fields(Config):
-        var = "EUDOXUS_" + field.name.upper()
+    for key in Config.__annotations__:
+        var = "EUDOXUS_" + key.upper()
         if var in os.environ:
-            _set_config_key(cfg, field.name, os.environ[var], var)
+            _set_config_key(cfg, key, os.environ[var], var)
     return cfg
 
 
 def _set_config_key(cfg: Config, key: str, value: str, where: str) -> None:
-    if key not in (field.name for field in fields(Config)):
+    if key not in Config.__annotations__:
         raise ConfigError(f"{where}: unknown key {key!r}")
     if isinstance(getattr(cfg, key), int):
         try:
@@ -230,14 +230,14 @@ def cmd_hyper_eval(args, cfg: Config):
 
 
 def cmd_derive(args, cfg: Config):
-    from . import calculus, expr, polyq, reals
+    from . import calculus, expr, polyq
 
     tree = expr.parse(args.poly)
     expr.typecheck(tree, expr.Context.DERIVE)
     fn = expr.fold(tree, _quotient_ops(calculus.RatFunction))
     slope = calculus.derivative_at(fn, args.at)
     exact = polyq.fraction_text(slope)
-    decimal = reals.decimal_of_fraction(slope, cfg.default_precision)
+    decimal = polyq.decimal_of_fraction(slope, cfg.default_precision)
     result = {"exact": exact, "decimal": decimal, "at": polyq.fraction_text(args.at)}
     return result, [exact, decimal], 0
 

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+
+from . import Record
 
 
 class ExprSyntaxError(ValueError):
@@ -65,8 +66,7 @@ class TokenKind(enum.Enum):
     EOF = "end of input"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: TokenKind
     text: str
     offset: int
@@ -95,73 +95,60 @@ def tokenize(text: str) -> list[Token]:
 # -- syntax trees -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class RatLit:
+class RatLit(Record):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class SqrtInt:
+class SqrtInt(Record):
     k: int
 
 
-@dataclass(frozen=True)
-class Dx:
+class Dx(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Omega:
+class Omega(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Div:
+class Div(Record):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(Record):
     base: object
     exponent: int
 
 
-@dataclass(frozen=True)
-class St:
+class St(Record):
     inner: object
 
 
-@dataclass(frozen=True)
-class Classify:
+class Classify(Record):
     inner: object
 
 
@@ -283,14 +270,10 @@ def parse(text: str):
     return node
 
 
+# The fields of each inner node that hold subtrees: those annotated `object`.
 CHILDREN = {
-    Add: ("left", "right"),
-    Sub: ("left", "right"),
-    Mul: ("left", "right"),
-    Div: ("left", "right"),
-    Pow: ("base",),
-    St: ("inner",),
-    Classify: ("inner",),
+    cls: tuple(name for name, kind in cls.__annotations__.items() if kind == "object")
+    for cls in (Add, Sub, Mul, Div, Pow, St, Classify)
 }
 
 

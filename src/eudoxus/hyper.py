@@ -11,21 +11,17 @@ The general tier is a rescaling: an arbitrary rule from indices to reals of
 the certified catalogue. Equality there genuinely depends on the ultrafilter.
 A piecewise rule has an exact agreement set, decided through the simulator
 when every meeting value pair is certified; an opaque rule is only sampled,
-so its equality is reported as empirical, never certified.
+so its equality is reported as empirical, never certified. This tier imports
+the real, set and simulator layers where it uses them, so germs load none.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
-from . import indexset, polyq, ufsim
-from .indexset import IndexSet
+from . import Record, polyq
 from .polyq import DivisionByZeroGerm  # noqa: F401 - re-exported
-from .reals import EudoxusReal, certified_equal, from_rational
-from .ufsim import FilterState, Verdict
 
 
 class PoleAtIndex(ValueError):
@@ -105,10 +101,9 @@ class HyperKind(enum.Enum):
     NEGATIVE_INFINITE = "NegativeInfinite"
 
 
-@dataclass(frozen=True)
-class HyperClass:
+class HyperClass(Record):
     kind: HyperKind
-    st: Optional[Fraction]  # standard part; None for infinite elements
+    st: Fraction | None  # standard part; None for infinite elements
 
 
 def classify(x: RationalSlopeGerm) -> HyperClass:
@@ -152,6 +147,8 @@ def phi_component(x: RationalSlopeGerm, n: int) -> Fraction:
 
 def realize_component(x: RationalSlopeGerm, n: int) -> EudoxusReal:
     """The component at index n as a certified real of the exact slope."""
+    from .reals import from_rational
+
     r = phi_component(x, n)
     return from_rational(r.numerator, r.denominator)
 
@@ -176,8 +173,7 @@ def format_leading_term(x: RationalSlopeGerm) -> str:
 # -- general rescalings -------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class GeneralRescaling:
+class GeneralRescaling(Record):
     """An index-to-real rule; each component carries its own certificate."""
 
     component_fn: Callable[[int], EudoxusReal]
@@ -186,8 +182,7 @@ class GeneralRescaling:
         return self.component_fn(n)
 
 
-@dataclass(frozen=True)
-class PiecewiseRescaling:
+class PiecewiseRescaling(Record):
     """A rescaling given by finitely many eventually periodic pieces.
 
     The piece sets must partition the index line; the structure makes
@@ -197,7 +192,9 @@ class PiecewiseRescaling:
     pieces: tuple[tuple[IndexSet, EudoxusReal], ...]
 
     def __post_init__(self):
-        indexset.check_partition(s for s, _ in self.pieces)
+        from .indexset import check_partition
+
+        check_partition(s for s, _ in self.pieces)
 
     def component(self, n: int) -> EudoxusReal:
         for s, v in self.pieces:
@@ -207,10 +204,12 @@ class PiecewiseRescaling:
 
     def cells(self, pieces):
         """(s & t, v, w) for each (s, v) in self and (t, w) in `pieces` that meet."""
+        from .indexset import empty, intersect
+
         for s, v in self.pieces:
             for t, w in pieces:
-                cell = indexset.intersect(s, t)
-                if cell != indexset.empty():
+                cell = intersect(s, t)
+                if cell != empty():
                     yield cell, v, w
 
     def add(self, other: "PiecewiseRescaling") -> "PiecewiseRescaling":
@@ -221,7 +220,9 @@ class PiecewiseRescaling:
 
 
 def constant_rescaling(x: EudoxusReal) -> PiecewiseRescaling:
-    return PiecewiseRescaling(((indexset.full(), x),))
+    from .indexset import full
+
+    return PiecewiseRescaling(((full(), x),))
 
 
 def piecewise(pairs) -> PiecewiseRescaling:
@@ -231,18 +232,15 @@ def piecewise(pairs) -> PiecewiseRescaling:
 # -- equality modulo the simulated ultrafilter --------------------------------
 
 
-@dataclass(frozen=True)
-class CertifiedEqual:
+class CertifiedEqual(Record):
     agreement: IndexSet
 
 
-@dataclass(frozen=True)
-class CertifiedUnequal:
+class CertifiedUnequal(Record):
     agreement: IndexSet
 
 
-@dataclass(frozen=True)
-class Empirical:
+class Empirical(Record):
     agreement_fraction: Fraction
 
 
@@ -262,6 +260,9 @@ def eq_mod_filter(x, y, state: FilterState):
 
     Returns (verdict, updated filter state).
     """
+    from . import indexset, ufsim
+    from .reals import certified_equal
+
     if not (isinstance(x, PiecewiseRescaling) and isinstance(y, PiecewiseRescaling)):
         agree = sum(
             certified_equal(x.component(n), y.component(n)) is not False
@@ -279,6 +280,6 @@ def eq_mod_filter(x, y, state: FilterState):
         density = Fraction(agreement.period.count("1"), len(agreement.period))
         return Empirical(density), state
     verdict, state = ufsim.query(state, agreement)
-    if verdict is Verdict.ACCEPTED:
+    if verdict is ufsim.Verdict.ACCEPTED:
         return CertifiedEqual(agreement), state
     return CertifiedUnequal(agreement), state

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from math import lcm
+
+from . import Record
 
 
 class IndexSetSyntaxError(ValueError):
@@ -45,19 +46,17 @@ class IndexSetSyntaxError(ValueError):
 _BITS = re.compile("[01]*")
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(Record):
     pre: str
     period: str
 
-    def __post_init__(self):
-        if not self.period:
+    def __init__(self, pre: str, period: str):
+        if not period:
             raise ValueError("period must be nonempty")
-        if not (_BITS.fullmatch(self.pre) and _BITS.fullmatch(self.period)):
+        if not (_BITS.fullmatch(pre) and _BITS.fullmatch(period)):
             raise ValueError("bits must be 0 or 1")
-        pre, period = _canonicalize(self.pre, self.period)
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "period", period)
+        pre, period = _canonicalize(pre, period)
+        self.__dict__.update(pre=pre, period=period)
 
     def member(self, n: int) -> bool:
         if n < 0:

@@ -13,12 +13,10 @@ classes. Anything the certificates cannot settle is reported, never guessed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from . import hyper, indexset
+from . import Record, hyper, indexset
 from .hyper import PiecewiseRescaling, RationalSlopeGerm
 from .indexset import IndexSet, PartitionError
-from .reals import certified_equal
 
 
 class UndecidableWithinBudget(Exception):
@@ -26,16 +24,14 @@ class UndecidableWithinBudget(Exception):
     exit_code = 3  # the CLI's exit code: domain error
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     classes: tuple[IndexSet, ...]
 
     def __post_init__(self):
         indexset.check_partition(self.classes)
 
 
-@dataclass(frozen=True)
-class LimitFilterSpec:
+class LimitFilterSpec(Record):
     generators: tuple[Partition, ...]
 
     def __post_init__(self):
@@ -76,6 +72,8 @@ def eq_relation_contains(x, partition: Partition) -> bool:
     """
     if isinstance(x, RationalSlopeGerm):
         return x.is_constant()
+    from .reals import certified_equal
+
     for cls in partition.classes:
         vals = _values_on_class(x, cls)
         for a, b in itertools.combinations(vals, 2):
@@ -98,8 +96,7 @@ def is_admissible(x, spec: LimitFilterSpec) -> bool:
     return eq_relation_contains(x, common_refinement(spec.generators))
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(Record):
     pairs_checked: int
     violations: tuple[str, ...]
 

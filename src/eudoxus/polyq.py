@@ -4,15 +4,17 @@ Coefficients are stored lowest-degree first; the zero polynomial is the empty
 tuple. All arithmetic is exact (ints, with Fractions only in transient
 values). `RatFun` is the shared quotient behind index-dependent slopes
 (`hyper.RationalSlopeGerm`) and the calculus layer (`calculus.RatFunction`).
-`int_text` and `fraction_text` print integers and fractions at any length,
-also past Python's 4,300-digit limit on int-to-str conversion.
+`int_text`, `fraction_text` and `decimal_of_fraction` print integers and
+fractions at any length, also past Python's 4,300-digit limit on int-to-str
+conversion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
+
+from . import Record
 
 Coeffs = tuple
 
@@ -178,8 +180,7 @@ class DivisionByZeroGerm(ZeroDivisionError):
     """Division by the zero rational function."""
 
 
-@dataclass(frozen=True)
-class RatFun:
+class RatFun(Record):
     """Quotient num/den of integer polynomials, stored in reduced normal form.
 
     Rational coefficients are cleared at construction; integer input, such as
@@ -193,15 +194,13 @@ class RatFun:
 
     noun = "function"
 
-    def __post_init__(self):
-        num, den = self.num, self.den
+    def __init__(self, num: Coeffs, den: Coeffs):
         if any(type(c) is not int for p in (num, den) for c in p):
             num, mn = from_fraction_coeffs(num)
             den, md = from_fraction_coeffs(den)
             num, den = scale(num, md), scale(den, mn)
         num, den = normalize_ratfun(num, den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self.__dict__.update(num=num, den=den)
 
     @classmethod
     def constant(cls, q):
@@ -277,6 +276,19 @@ def fraction_text(q: Fraction) -> str:
     if q.denominator == 1:
         return int_text(q.numerator)
     return f"{int_text(q.numerator)}/{int_text(q.denominator)}"
+
+
+def decimal_of_fraction(value: Fraction, digits: int) -> str:
+    """Fixed-point rendering with round-half-up at the last digit, at any
+    number of digits."""
+    if digits < 1:
+        raise ValueError("digits must be positive")
+    scaled = value * 10**digits
+    units = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    sign = "-" if units < 0 else ""
+    ipart, fpart = divmod(abs(units), 10**digits)
+    # The leading 1 of 10**digits + fpart keeps fpart's leading zeros.
+    return f"{sign}{int_text(ipart)}.{int_text(10**digits + fpart)[1:]}"
 
 
 def format_poly(p: Coeffs, var: str = "i") -> str:

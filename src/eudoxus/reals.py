@@ -11,10 +11,9 @@ eps", and `equals_within` is the window surrogate used by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ahom
+from . import Record, ahom
 from .ahom import (
     AlmostHom,
     Compose,
@@ -24,7 +23,7 @@ from .ahom import (
     Neg,
     Sum,
 )
-from .polyq import int_text
+from .polyq import decimal_of_fraction
 
 
 class UndecidedSign(Exception):
@@ -39,40 +38,33 @@ class UndecidedSign(Exception):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class Positive:
+class Positive(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Negative:
+class Negative(Record):
     pass
 
 
-@dataclass(frozen=True)
-class ZeroWithin:
+class ZeroWithin(Record):
     """Certified interval verdict: the represented real r has |r| <= eps."""
 
     eps: Fraction
 
 
-@dataclass(frozen=True)
-class Less:
+class Less(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Greater:
+class Greater(Record):
     pass
 
 
-@dataclass(frozen=True)
-class IndistinguishableWithin:
+class IndistinguishableWithin(Record):
     eps: Fraction
 
 
-@dataclass(frozen=True)
-class EudoxusReal:
+class EudoxusReal(Record):
     """A real number carried by a chosen certified representative."""
 
     rep: AlmostHom
@@ -187,19 +179,6 @@ class EudoxusReal:
         n = self.eval_index(digits)
         v = Fraction(self.rep.eval(n), n)
         return decimal_of_fraction(v, digits)
-
-
-def decimal_of_fraction(value: Fraction, digits: int) -> str:
-    """Fixed-point rendering with round-half-up at the last digit, at any
-    number of digits."""
-    if digits < 1:
-        raise ValueError("digits must be positive")
-    scaled = value * 10**digits
-    units = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    sign = "-" if units < 0 else ""
-    ipart, fpart = divmod(abs(units), 10**digits)
-    # The leading 1 of 10**digits + fpart keeps fpart's leading zeros.
-    return f"{sign}{int_text(ipart)}.{int_text(10**digits + fpart)[1:]}"
 
 
 def from_rational(p: int, q: int) -> EudoxusReal:

@@ -22,10 +22,9 @@ MeetOverBudget instead. Without a budget nothing is capped.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from math import lcm
 
-from . import indexset
+from . import Record, indexset
 from .indexset import IndexSet
 
 
@@ -59,23 +58,21 @@ class Containment(enum.Enum):
     UNDECIDED = "Undecided"
 
 
-@dataclass(frozen=True)
-class FilterState:
+class FilterState(Record):
     """Decision log plus the running meet of all commitments.
 
-    `verdicts` is the log as a set -> verdict dict, so a repeated query is
-    one lookup. It is built from the log when not given, takes no part in
-    equality or repr, and is copied into each derived state, so an older
-    state keeps its own answers.
+    `verdicts`, not a field, is the log as a set -> verdict dict, so a
+    repeated query is one lookup. `query` gives each derived state its own
+    copy, so an older state keeps its own answers.
     """
 
     log: tuple[tuple[IndexSet, Verdict], ...]
     meet: IndexSet
-    verdicts: dict | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.verdicts is None:
-            object.__setattr__(self, "verdicts", dict(self.log))
+    def __init__(self, log: tuple, meet: IndexSet, verdicts: dict | None = None):
+        if verdicts is None:
+            verdicts = dict(log)
+        self.__dict__.update(log=log, meet=meet, verdicts=verdicts)
 
 
 def fresh_state() -> FilterState:

@@ -8,7 +8,6 @@ reconstruction by Gaussian elimination over Fractions.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from math import ceil, lcm
@@ -438,7 +437,7 @@ def structural_key(f):
     when their keys are equal."""
     from eudoxus import ahom
 
-    values = [getattr(f, field.name) for field in fields(f)]
+    values = [getattr(f, name) for name, _ in ahom._RULE_FIELDS[type(f)]]
     children = [v for v in values if isinstance(v, ahom.AlmostHom)]
     return (
         type(f).__name__,

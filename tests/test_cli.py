@@ -1,4 +1,3 @@
-import dataclasses
 import fcntl
 import json
 import os
@@ -721,8 +720,8 @@ def _memo_entries(root) -> int:
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
-            for f in dataclasses.fields(node):
-                child = getattr(node, f.name)
+            for name, _ in ahom._RULE_FIELDS[type(node)]:
+                child = getattr(node, name)
                 if isinstance(child, ahom.AlmostHom):
                     stack.append(child)
     return sum(len(node.__dict__.get("_memo", ())) for node in seen.values())

@@ -111,8 +111,53 @@ def test_digits_loads_only_the_real_layer():
     assert not loaded & {"hyper", "calculus", "lup", "indexset", "ufsim"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["derive", "x^2/(1+x)", "--at", "1"], ["hyper", "eval", "st((1+dx)^2)"]],
+    ids=["derive", "hyper-eval"],
+)
+def test_germ_commands_load_neither_the_real_tier_nor_the_set_layer(argv):
+    loaded = _loaded_by(argv)
+    assert loaded >= {"cli", "expr", "hyper", "polyq"}
+    assert not loaded & {"reals", "ahom", "ufsim", "indexset"}
+
+
+def test_lup_check_loads_no_real_tier():
+    loaded = _loaded_by(["lup", "check", "dx", "--partition", "pre:;per:10 ; pre:;per:01"])
+    assert loaded >= {"cli", "expr", "hyper", "polyq", "indexset", "lup"}
+    assert not loaded & {"reals", "ahom", "ufsim"}
+
+
 def test_selftest_loads_every_module():
     assert _loaded_by(["selftest"]) == _ALL | {"cli"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["digits", "1/sqrt(2) + 22/7"],
+        ["hyper", "eval", "st((1+dx)^2)"],
+        ["derive", "x^2/(1+x)", "--at", "1"],
+        ["lup", "check", "dx", "--partition", "pre:;per:10 ; pre:;per:01"],
+        ["ultra", "query", "pre:;per:10", "--state"],
+        ["selftest"],
+    ],
+    ids=["digits", "hyper-eval", "derive", "lup-check", "ultra-query", "selftest"],
+)
+def test_no_command_loads_dataclasses_or_inspect(argv, tmp_path):
+    """Types are declared without generated code. `-S` keeps `site` from
+    importing either module before the command runs."""
+    if argv[-1] == "--state":
+        argv = [*argv, str(tmp_path / "session.trace")]
+    code = (
+        "import sys\n"
+        "from eudoxus import cli\n"
+        f"cli.main({argv!r})\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = _fresh(code, "-S")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(
