@@ -12,7 +12,8 @@ so downstream error estimates are certificates rather than hopes, and a read
 costs O(1) at any depth. Equality, the rule text and `repr`, and the
 evaluation of a node over SHALLOW levels deep, run from explicit stacks, so
 depth is no limit. Bulk evaluation reads sums, negations and scales
-as one linear form over atoms keyed by value (`linear_form`). No floats.
+as one linear form over atoms keyed by value (`linear_form`), expanding each
+distinct node once. No floats.
 
 Concurrency: nodes are immutable after construction. The per-node memo table
 only caches values of a pure function, so concurrent use from several threads
@@ -24,6 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 from math import isqrt
 
 from . import Record
@@ -409,26 +411,39 @@ def _eval_flat(f: AlmostHom, a: int) -> int:
 def linear_form(f: AlmostHom) -> dict:
     """f as {key: [atom, c]}: f = sum of c*atom at every point, each c != 0.
 
-    Sum, Neg and IntScale are walked from an explicit stack, and every other
-    node is an atom keyed by value: equal atoms merge, and opposite ones
-    cancel, also where they were built apart.
+    Sum, Neg and IntScale nodes pass their coefficient on to their children.
+    They are expanded from a heap deepest first, with their coefficients
+    merged by identity: a parent is deeper than its children, so each
+    distinct node is expanded once, after all of its parents, and a tree
+    that shares subtrees costs its nodes, not its paths. Every other node is
+    an atom keyed by value: equal atoms merge, and opposite ones cancel,
+    also where they were built apart.
     """
-    form = {}
-    todo = [(f, 1)]
-    while todo:
-        g, c = todo.pop()
+    form, pending, heap = {}, {}, []
+    parts = ((f, 1),)
+    while True:
+        for g, c in parts:
+            if isinstance(g, (Sum, Neg, IntScale)):
+                key = id(g)
+                if key not in pending:
+                    pending[key] = 0
+                    heappush(heap, (-g.depth, key, g))
+                pending[key] += c
+            else:
+                term = form.setdefault(g, [g, 0])
+                term[1] += c
+                if not term[1]:
+                    del form[g]
+        if not heap:
+            return form
+        _, key, g = heappop(heap)
+        c = pending.pop(key)
         if isinstance(g, Sum):
-            todo += (g.left, c), (g.right, c)
+            parts = (g.left, c), (g.right, c)
         elif isinstance(g, Neg):
-            todo.append((g.inner, -c))
-        elif isinstance(g, IntScale):
-            todo.append((g.inner, g.m * c))  # a zero coefficient cancels below
+            parts = ((g.inner, -c),)
         else:
-            term = form.setdefault(g, [g, 0])
-            term[1] += c
-            if not term[1]:
-                del form[g]
-    return form
+            parts = ((g.inner, g.m * c),)  # a zero coefficient cancels above
 
 
 def eval_range(f: AlmostHom, args) -> list[int]:

@@ -598,6 +598,12 @@ def cmd_selftest(args, cfg: Config):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A negative fraction such as -1/2 is a value, as -1 and -.5 are,
+        # not an option: `derive --at -1/2` then reads its point.
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Tokenizer, parser and sort checker for the CLI expressions.
+"""Parser and sort checker for the CLI expressions.
 
 Grammar (normative for the command line):
 
@@ -8,7 +8,8 @@ Grammar (normative for the command line):
     atom   := int | 'sqrt' '(' int ')' | 'dx' | 'omega' | 'x'
             | 'st' '(' expr ')' | 'classify' '(' expr ')' | '(' expr ')'
 
-Parsing is one pass. A quotient of two integer literals is folded to a
+Parsing is one pass of recursive descent over the matches of one regex,
+each match a token. A quotient of two integer literals is folded to a
 rational literal as the tree is built, which is the only constant folding
 performed. Power exponents are integer literals because only integer powers
 are exact in both value tiers. Nesting of '(', 'st(' and 'classify(' is
@@ -53,43 +54,6 @@ class SortError(Exception):
 
 class VarOutsideDerive(SortError):
     """`x` used outside a derivative body."""
-
-
-# -- tokens -------------------------------------------------------------------
-
-
-class TokenKind(enum.Enum):
-    INT = "int"
-    NAME = "name"
-    SYMBOL = "symbol"
-    ERROR = "error"
-    EOF = "end of input"
-
-
-class Token(Record):
-    kind: TokenKind
-    text: str
-    offset: int
-
-
-# One group per token kind, named by its TokenKind value. The classes are
-# ASCII, so a non-ASCII digit or letter is an error token. Whitespace, which
-# `\s` matches for exactly the characters where str.isspace() is true,
-# matches no group and is skipped.
-_TOKEN = re.compile(
-    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<symbol>[-+*/^()])|(?P<error>\S)"
-)
-
-
-def tokenize(text: str) -> list[Token]:
-    """Longest-match lexing; unknown characters become error tokens."""
-    tokens = [
-        Token(TokenKind(m.lastgroup), m.group(), m.start())
-        for m in _TOKEN.finditer(text)
-    ]
-    tokens.append(Token(TokenKind.EOF, "", len(text)))
-    return tokens
 
 
 # -- syntax trees -------------------------------------------------------------
@@ -162,48 +126,58 @@ _LEAVES = {"dx": Dx, "omega": Omega, "x": Var}
 # Each opener wraps the parenthesised expression that follows it.
 _OPENERS = {"(": lambda inner: inner, "st": St, "classify": Classify}
 
+# One group per token kind: an integer, a name, a symbol, a character no
+# token starts with, and the end of the text. The classes are ASCII, so a
+# non-ASCII digit or letter is an error token. Whitespace, which `\s`
+# matches for exactly the characters where str.isspace() is true, matches no
+# group and is skipped; `\Z` matches once, at the end.
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<symbol>[-+*/^()])|(?P<error>\S)|(?P<end>\Z)"
+)
+
 # Deepest nesting of '(', 'st(' and 'classify(' the recursive-descent parser
 # accepts; it keeps the parser's own recursion far below the interpreter limit.
 MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Recursive descent over the token matches of one text: a token's kind
+    is its match's `lastgroup`, its text `m[0]` and its offset `m.start()`."""
+
+    def __init__(self, text: str):
+        self.tokens = list(_TOKEN.finditer(text))
         self.pos = 0
         self.depth = 0
 
     @property
-    def current(self) -> Token:
+    def current(self) -> re.Match:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> re.Match:
+        m = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return m
 
     def fail(self, expected: tuple[str, ...]):
-        tok = self.current
-        if tok.kind is TokenKind.ERROR:
-            raise ExprSyntaxError(
-                f"unknown character {tok.text!r}", tok.offset, expected
-            )
-        shown = tok.text or tok.kind.value
-        raise ExprSyntaxError(f"unexpected {shown!r}", tok.offset, expected)
+        m = self.current
+        if m.lastgroup == "error":
+            raise ExprSyntaxError(f"unknown character {m[0]!r}", m.start(), expected)
+        raise ExprSyntaxError(f"unexpected {m[0] or 'end of input'!r}", m.start(), expected)
 
     def expect_symbol(self, symbol: str):
-        if self.current.text != symbol:
+        if self.current[0] != symbol:
             self.fail((f"'{symbol}'",))
         self.advance()
 
     def expect_int(self) -> int:
-        if self.current.kind is not TokenKind.INT:
+        if self.current.lastgroup != "int":
             self.fail(("integer",))
-        tok = self.advance()
+        m = self.advance()
         try:
-            return int(tok.text)
+            return int(m[0])
         except ValueError:  # more digits than the interpreter converts
-            raise ExprSyntaxError("integer literal too long", tok.offset) from None
+            raise ExprSyntaxError("integer literal too long", m.start()) from None
 
     def expr(self, level: int = 0):
         """Operands joined by the operators of `level`, left to right.
@@ -213,7 +187,7 @@ class _Parser:
         """
         innermost = level + 1 == len(_OPERATORS)
         node = self.factor() if innermost else self.expr(level + 1)
-        while (build := _OPERATORS[level].get(self.current.text)) is not None:
+        while (build := _OPERATORS[level].get(self.current[0])) is not None:
             self.advance()
             right = self.factor() if innermost else self.expr(level + 1)
             # A quotient of integer literals folds to a rational literal. A
@@ -227,45 +201,46 @@ class _Parser:
 
     def factor(self):
         node = self.atom()
-        if self.current.text == "^":
+        if self.current[0] == "^":
             self.advance()
             node = Pow(node, self.expect_int())
         return node
 
     def atom(self):
-        tok = self.current
-        if tok.kind is TokenKind.INT:
+        m = self.current
+        text = m[0]
+        if m.lastgroup == "int":
             return IntLit(self.expect_int())
-        if tok.text in _LEAVES:
+        if text in _LEAVES:
             self.advance()
-            return _LEAVES[tok.text]()
-        if tok.text == "sqrt":
+            return _LEAVES[text]()
+        if text == "sqrt":
             self.advance()
             self.expect_symbol("(")
             k = self.expect_int()
             self.expect_symbol(")")
             return SqrtInt(k)
-        if tok.text not in _OPENERS:
+        if text not in _OPENERS:
             self.fail(_ATOM_EXPECTED)
         self.advance()
-        if tok.text != "(":  # a named opener takes its '(' next
+        if text != "(":  # a named opener takes its '(' next
             self.expect_symbol("(")
         if self.depth == MAX_NESTING:
             raise ExprSyntaxError(
-                f"nesting deeper than {MAX_NESTING} levels", tok.offset
+                f"nesting deeper than {MAX_NESTING} levels", m.start()
             )
         self.depth += 1
         inner = self.expr()
         self.expect_symbol(")")
         self.depth -= 1
-        return _OPENERS[tok.text](inner)
+        return _OPENERS[text](inner)
 
 
 def parse(text: str):
-    """Tokenize and parse an expression, folding integer quotients."""
-    parser = _Parser(tokenize(text))
+    """Parse an expression, folding integer quotients."""
+    parser = _Parser(text)
     node = parser.expr()
-    if parser.current.kind is not TokenKind.EOF:
+    if parser.current.lastgroup != "end":
         parser.fail(("operator", "end of input"))
     return node
 

@@ -456,3 +456,27 @@ def window_equal(f, g, window: int) -> bool:
             if abs(a - b) > limit:
                 return False
     return True
+
+
+def path_linear_form(f) -> dict:
+    """`ahom.linear_form` by expanding every path: each Sum, Neg and IntScale
+    is walked once per path that reaches it, so a node shared by several
+    parents is expanded once for each of them."""
+    from eudoxus import ahom
+
+    form = {}
+    todo = [(f, 1)]
+    while todo:
+        g, c = todo.pop()
+        if isinstance(g, ahom.Sum):
+            todo += (g.left, c), (g.right, c)
+        elif isinstance(g, ahom.Neg):
+            todo.append((g.inner, -c))
+        elif isinstance(g, ahom.IntScale):
+            todo.append((g.inner, g.m * c))
+        else:
+            term = form.setdefault(g, [g, 0])
+            term[1] += c
+            if not term[1]:
+                del form[g]
+    return form

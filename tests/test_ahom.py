@@ -26,7 +26,14 @@ from eudoxus.ahom import (
 )
 from eudoxus.reals import EudoxusReal, UndecidedSign, certified_equal
 
-from oracles import bisect_isqrt, invert_bound, least_reaching, structural_key, window_equal
+from oracles import (
+    bisect_isqrt,
+    invert_bound,
+    least_reaching,
+    path_linear_form,
+    structural_key,
+    window_equal,
+)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -78,6 +85,43 @@ def test_linear_form_merges_like_leaves_and_cancels_opposite_terms():
     # Every atom is keyed by value: a Compose built apart cancels too.
     twin = Compose(FloorSqrt(3), FloorLinear(1, 2))
     assert linear_form(Sum(y, Neg(twin))) == {}
+
+
+def _shared_dag(rng, size):
+    """A rule DAG of `size` linear nodes, each a Sum, Neg or IntScale of
+    nodes built before it, so that most nodes have several parents; the
+    atoms are a few leaves, a Compose, and equal leaves built apart."""
+    nodes = [FloorSqrt(2), FloorSqrt(3), FloorLinear(1, 3), FloorLinear(-1, 3)]
+    nodes += [FloorSqrt(2), Compose(FloorSqrt(2), FloorLinear(1, 2))]
+    for _ in range(size):
+        a, b = rng.choice(nodes), rng.choice(nodes[-4:])
+        kind = rng.randrange(4)
+        if kind < 2:
+            nodes.append(Sum(a, b) if kind else Sum(b, b))
+        elif kind == 2:
+            nodes.append(Neg(b))
+        else:
+            nodes.append(IntScale(rng.randint(-3, 3), b))
+    return nodes[-1]
+
+
+def test_linear_form_of_shared_dags_matches_the_path_walk():
+    rng = random.Random(2222)
+    for _ in range(300):
+        f = _shared_dag(rng, rng.randint(1, 14))
+        assert linear_form(f) == path_linear_form(f), format_rule(f)
+
+
+def test_linear_form_expands_each_shared_node_once():
+    # 2^60 paths reach the leaf; a walk that expands paths would not end.
+    f = FloorSqrt(2)
+    for _ in range(60):
+        f = Sum(f, f)
+    assert linear_form(f) == {FloorSqrt(2): [FloorSqrt(2), 2**60]}
+    x = EudoxusReal(FloorSqrt(2))
+    for _ in range(60):
+        x = x.add(x)
+    assert x.equals_within(x, 64)
 
 
 def _combination_tree(rng, depth, shared):

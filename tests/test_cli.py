@@ -364,6 +364,10 @@ def test_derive_examples(capsys):
     assert code == 0 and out.splitlines()[0] == "0"
     code, out, _ = run_cli(["derive", "1/x", "--at", "1/2"], capsys)
     assert code == 0 and out.splitlines()[0] == "-4"
+    # A negative fraction after --at is its value, not an option; -x is not.
+    code, out, _ = run_cli(["derive", "x^2", "--at", "-1/2"], capsys)
+    assert code == 0 and out.splitlines() == ["-1", "-1.0000000000"]
+    assert run_cli(["derive", "x^2", "--at", "-x"], capsys)[0] == 1
 
 
 def test_derive_pole_exits_3(capsys):

@@ -21,33 +21,13 @@ from eudoxus.expr import (
     SqrtInt,
     St,
     Sub,
-    Token,
-    TokenKind,
     Var,
     VarOutsideDerive,
     format_ast,
     parse,
-    tokenize,
     typecheck,
 )
 from oracles import first_sort_error
-
-
-def test_tokenize_examples():
-    toks = tokenize("1+dx")
-    assert [(t.kind, t.text, t.offset) for t in toks[:-1]] == [
-        (TokenKind.INT, "1", 0),
-        (TokenKind.SYMBOL, "+", 1),
-        (TokenKind.NAME, "dx", 2),
-    ]
-    assert toks[-1].kind is TokenKind.EOF
-    assert len(tokenize("sqrt(2)*22/7")) - 1 == 8
-
-
-def test_tokenize_unknown_character():
-    toks = tokenize("1 @ 2")
-    errors = [t for t in toks if t.kind is TokenKind.ERROR]
-    assert len(errors) == 1 and errors[0].offset == 2
 
 
 def test_parse_examples():
@@ -145,6 +125,11 @@ _MESSAGES = {
     ")": f"unexpected ')' (offset 0); {_ATOM}",
     "1 2": f"unexpected '2' (offset 2); {_TAIL}",
     "(" * 101 + "1" + ")" * 101: "nesting deeper than 100 levels (offset 100)",
+    # Offsets count the whitespace skipped before a token, and the end of
+    # the text is a token of its own.
+    "  st( dx": "unexpected 'end of input' (offset 8); expected ')'",
+    "  st( @ )": f"unknown character '@' (offset 6); {_ATOM}",
+    "1 + ": f"unexpected 'end of input' (offset 4); {_ATOM}",
 }
 
 
@@ -263,9 +248,3 @@ def test_fuzz_never_crashes_and_offsets_stay_in_range():
         except ExprSyntaxError as exc:
             assert 0 <= exc.offset <= len(text)
 
-
-def test_token_offsets_are_byte_positions():
-    toks = tokenize("  st( dx )")
-    st_tok = next(t for t in toks if t.text == "st")
-    dx_tok = next(t for t in toks if t.text == "dx")
-    assert st_tok.offset == 2 and dx_tok.offset == 6

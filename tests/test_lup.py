@@ -133,8 +133,7 @@ def test_closure_check_on_germs_uses_hyper_arithmetic(monkeypatch):
 
 def test_closure_check_of_no_elements_with_or_without_rng():
     spec = LimitFilterSpec((_halves(),))
-    report = restricted_closure_check([], spec, rng=random.Random(3))
-    assert report == restricted_closure_check([], spec) == lup.ClosureReport(0, ())
+    assert restricted_closure_check([], spec) == lup.ClosureReport(0, ())
 
 
 def test_closure_check_rejects_inadmissible_input():

@@ -14,11 +14,6 @@ _SAMPLES = {
         ("pre", "period"),
         "IndexSet(pre='01', period='10')",
     ),
-    "Token": (
-        lambda: expr.Token(expr.TokenKind.INT, "12", 3),
-        ("kind", "text", "offset"),
-        "Token(kind=<TokenKind.INT: 'int'>, text='12', offset=3)",
-    ),
     "ZeroWithin": (
         lambda: reals.ZeroWithin(Fraction(1, 8)),
         ("eps",),
