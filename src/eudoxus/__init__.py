@@ -45,11 +45,13 @@ def __dir__():
 
 class Record:
     """Base of the immutable records. A subclass's fields are its own
-    annotations in order, or its base's where it has none. A record is built
-    from its field values in order, then `__post_init__` checks them; it
-    refuses assignment, equals a same-type record with equal fields, hashes
-    its field tuple and prints as `Name(field=value, ...)`. Methods may cache
-    derived values in the instance `__dict__`; nothing is generated per class.
+    annotations in order, or its base's where it has none. Only
+    `Record.__init__` sets them, from their final values in order (a
+    subclass's own constructor canonicalizes first), and it keeps that tuple;
+    `__post_init__` then checks them. A record refuses assignment, equals a
+    same-type record with an equal tuple, hashes the tuple and prints as
+    `Name(field=value, ...)`. Methods may cache derived values in the
+    instance `__dict__`; nothing is generated per class.
     """
 
     _fields = ()
@@ -60,7 +62,10 @@ class Record:
     def __init__(self, *values):
         if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes {len(self._fields)} field values")
-        self.__dict__.update(zip(self._fields, values))
+        fields = self.__dict__  # a loop of stores beats update(zip(...)) on a few fields
+        for name, value in zip(self._fields, values):
+            fields[name] = value
+        fields["_tuple"] = values
         self.__post_init__()
 
     def __post_init__(self):
@@ -72,15 +77,12 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
 
-    def _values(self) -> tuple:
-        return tuple([self.__dict__[name] for name in self._fields])
-
     def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+        return self._tuple == other._tuple if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._tuple)
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._tuple))
         return f"{type(self).__qualname__}({shown})"

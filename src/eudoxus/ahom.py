@@ -67,7 +67,7 @@ class AlmostHom(Record):
 
     def _facts(self, **facts) -> None:
         """Record a node's facts and hash as it is built, through `vars`."""
-        vars(self).update(facts, _hash=hash((type(self), *self._values())))
+        vars(self).update(facts, _hash=hash((type(self), *self._tuple)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -55,8 +55,7 @@ class IndexSet(Record):
             raise ValueError("period must be nonempty")
         if not (_BITS.fullmatch(pre) and _BITS.fullmatch(period)):
             raise ValueError("bits must be 0 or 1")
-        pre, period = _canonicalize(pre, period)
-        self.__dict__.update(pre=pre, period=period)
+        super().__init__(*_canonicalize(pre, period))
 
     def member(self, n: int) -> bool:
         if n < 0:

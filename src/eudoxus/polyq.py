@@ -199,8 +199,7 @@ class RatFun(Record):
             num, mn = from_fraction_coeffs(num)
             den, md = from_fraction_coeffs(den)
             num, den = scale(num, md), scale(den, mn)
-        num, den = normalize_ratfun(num, den)
-        self.__dict__.update(num=num, den=den)
+        super().__init__(*normalize_ratfun(num, den))
 
     @classmethod
     def constant(cls, q):

@@ -17,6 +17,9 @@ A query or containment check that must meet a set with the running meet can
 be given a budget: the meet's period length, the lcm of the two periods, is
 known before any bit is built, and a length over the budget raises
 MeetOverBudget instead. Without a budget nothing is capped.
+
+Replay is linear in the trace's length: one dict, in log order, collects the
+decisions. A trace error names its file line; blank lines count as lines.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ from .indexset import IndexSet
 
 
 class TraceError(ValueError):
-    """Malformed or inconsistent trace; carries the 1-based line number."""
+    """Malformed or inconsistent trace; carries its reason and 1-based line."""
     exit_code = 3  # the CLI's exit code: domain error
 
     def __init__(self, message: str, line: int):
         super().__init__(f"{message} (line {line})")
-        self.line = line
+        self.reason, self.line = message, line
 
 
 class MeetOverBudget(Exception):
@@ -42,9 +45,7 @@ class MeetOverBudget(Exception):
     exit_code = 2  # the CLI's exit code: budget exhausted
 
     def __init__(self, length: int, budget: int):
-        super().__init__(
-            f"meet period would be {length} bits, over budget {budget}"
-        )
+        super().__init__(f"meet period would be {length} bits, over budget {budget}")
 
 
 class Verdict(enum.Enum):
@@ -70,9 +71,8 @@ class FilterState(Record):
     meet: IndexSet
 
     def __init__(self, log: tuple, meet: IndexSet, verdicts: dict | None = None):
-        if verdicts is None:
-            verdicts = dict(log)
-        self.__dict__.update(log=log, meet=meet, verdicts=verdicts)
+        super().__init__(log, meet)
+        self.__dict__["verdicts"] = dict(log) if verdicts is None else verdicts
 
 
 def fresh_state() -> FilterState:
@@ -87,6 +87,15 @@ def _charge(s: IndexSet, meet: IndexSet, budget: int | None) -> None:
             raise MeetOverBudget(length, budget)
 
 
+def _decide(s: IndexSet, meet: IndexSet, budget: int | None) -> tuple[Verdict, IndexSet]:
+    """Decide s accept-first against `meet`; return the verdict and the new meet."""
+    _charge(s, meet, budget)
+    hit = indexset.intersect(s, meet)
+    if hit.is_infinite():
+        return Verdict.ACCEPTED, hit
+    return Verdict.REJECTED, indexset.intersect(indexset.complement(s), meet)
+
+
 def query(
     state: FilterState, s: IndexSet, *, budget: int | None = None
 ) -> tuple[Verdict, FilterState]:
@@ -95,17 +104,9 @@ def query(
     verdict = state.verdicts.get(s)
     if verdict is not None:
         return verdict, state
-    _charge(s, state.meet, budget)
-    hit = indexset.intersect(s, state.meet)
-    if hit.is_infinite():
-        verdict, meet = Verdict.ACCEPTED, hit
-    else:
-        verdict = Verdict.REJECTED
-        meet = indexset.intersect(indexset.complement(s), state.meet)
-    new = FilterState(
-        state.log + ((s, verdict),), meet, {**state.verdicts, s: verdict}
-    )
-    return verdict, new
+    verdict, meet = _decide(s, state.meet, budget)
+    log = state.log + ((s, verdict),)
+    return verdict, FilterState(log, meet, {**state.verdicts, s: verdict})
 
 
 def contains(
@@ -122,28 +123,28 @@ def contains(
 
 def replay(entries, *, budget: int | None = None) -> FilterState:
     """Rebuild a state from (set, verdict) pairs, checking every decision;
-    `budget` caps each query's meet as in `query`."""
-    state = fresh_state()
+    `budget` caps each meet as in `query`."""
+    verdicts, meet = {}, indexset.full()
     for line, (s, recorded) in enumerate(entries, start=1):
-        computed, state = query(state, s, budget=budget)
+        computed = verdicts.get(s)
+        if computed is None:
+            computed, meet = _decide(s, meet, budget)
+            verdicts[s] = computed
         if computed is not recorded:
             raise TraceError(
                 f"inconsistent trace: {indexset.format_set(s)} recorded as "
                 f"{recorded.value} but the policy decides {computed.value}",
                 line,
             )
-    return state
+    return FilterState(tuple(verdicts.items()), meet, verdicts)
 
 
 def export_trace(state: FilterState) -> str:
-    lines = [
-        f"{verdict.value} {indexset.format_set(s)}" for s, verdict in state.log
-    ]
-    return "".join(line + "\n" for line in lines)
+    return "".join(f"{verdict.value} {indexset.format_set(s)}\n" for s, verdict in state.log)
 
 
 def import_trace(text: str, *, budget: int | None = None) -> FilterState:
-    entries = []
+    entries, line_nos = [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -161,4 +162,8 @@ def import_trace(text: str, *, budget: int | None = None) -> FilterState:
         except indexset.IndexSetSyntaxError as exc:
             raise TraceError(f"bad set spec: {exc}", line_no) from None
         entries.append((s, verdict))
-    return replay(entries, budget=budget)
+        line_nos.append(line_no)
+    try:
+        return replay(entries, budget=budget)
+    except TraceError as exc:  # replay numbers the entries, not the lines
+        raise TraceError(exc.reason, line_nos[exc.line - 1]) from None

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +140,38 @@ def test_malformed_trace_diagnostics():
     with pytest.raises(TraceError) as exc:
         import_trace("Accepted pre:;per:\n")
     assert exc.value.line == 1
+
+
+def test_trace_errors_name_the_file_line():
+    # Blank lines are skipped but counted, for an inconsistent entry as for
+    # a parse error.
+    with pytest.raises(TraceError) as exc:
+        import_trace("Accepted pre:;per:10\n\n\nAccepted pre:;per:01\n")
+    assert exc.value.line == 4 and str(exc.value).endswith("(line 4)")
+    with pytest.raises(TraceError) as exc:
+        import_trace("Accepted pre:;per:10\n\n\nAccepted pre:;per:\n")
+    assert exc.value.line == 4
+
+
+def test_replay_is_linear_in_the_trace_length():
+    # 32,000 distinct cofinite sets: the meet keeps period 1, so each entry
+    # is cheap and only per-entry copies of the log could make the import
+    # slow; a child process lets the timeout fail the test.
+    code = (
+        "from eudoxus.ufsim import import_trace\n"
+        "text = ''.join(f'Accepted pre:1{i:016b};per:1\\n' for i in range(32000))\n"
+        "print(len(import_trace(text).log))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        encoding="utf-8",
+        timeout=5,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["32000"]
 
 
 def _sample(rng: random.Random) -> IndexSet:
