@@ -31,12 +31,6 @@ class RatFunction(polyq.RatFun):
     def pole(self, x0) -> Exception:
         return SubstitutionPole(f"pole at x = {polyq.fraction_text(x0)}")
 
-    def __str__(self) -> str:
-        num = polyq.format_poly(self.num, "x")
-        if self.den == (1,):
-            return num
-        return f"({num})/({polyq.format_poly(self.den, 'x')})"
-
 
 constant = RatFunction.constant
 

@@ -211,22 +211,13 @@ def cmd_hyper_eval(args, cfg: Config):
     expr.typecheck(tree, expr.Context.HYPER)
     value = expr.fold(tree, _quotient_ops(hyper.RationalSlopeGerm))
     cls = hyper.classify(value)
-    lines = [f"class: {cls.kind.value}"]
-    st_text = None
-    if cls.st is not None:
-        st_text = polyq.fraction_text(cls.st)
-        lines.append(f"st: {st_text}")
-    leading = hyper.format_leading_term(value)
-    germ_text = hyper.format_germ(value)
-    lines.append(f"leading: {leading}")
-    lines.append(f"germ: {germ_text}")
     result = {
         "class": cls.kind.value,
-        "st": st_text,
-        "leading": leading,
-        "germ": germ_text,
+        "st": None if cls.st is None else polyq.fraction_text(cls.st),
+        "leading": hyper.format_leading_term(value),
+        "germ": str(value),
     }
-    return result, lines, 0
+    return result, [f"{k}: {v}" for k, v in result.items() if v is not None], 0
 
 
 def cmd_derive(args, cfg: Config):

@@ -5,7 +5,9 @@ index n is the real of slope r(n) = P(n)/Q(n) for integer polynomials P, Q.
 Ordering such germs needs no ultrafilter at all - the sign of r_x(i) - r_y(i)
 is eventually constant, so the verdict set is cofinite or finite and every
 non-principal ultrafilter agrees. Classification into zero / infinitesimal /
-appreciable / infinite reads off the degree gap and leading coefficients.
+appreciable / infinite reads off the degree gap and leading coefficients. The
+germ is a view of `polyq.RatFun`, and the view is data: the noun "germ", the
+variable i it prints in and the PoleAtIndex error; `str` is the quotient's.
 
 The general tier is a rescaling: an arbitrary rule from indices to reals of
 the certified catalogue. Equality there genuinely depends on the ultrafilter.
@@ -40,15 +42,13 @@ class InfiniteElement(ValueError):
 
 class RationalSlopeGerm(polyq.RatFun):
     """Slope function r(i) = num(i)/den(i): the shared quotient type, read
-    as a germ in the index i."""
+    as a germ in the index i whose poles raise PoleAtIndex."""
 
     noun = "germ"
+    var = "i"
 
     def pole(self, n) -> Exception:
         return PoleAtIndex(n)
-
-    def __str__(self) -> str:
-        return format_germ(self)
 
 
 def germ(num, den=(1,)) -> RationalSlopeGerm:
@@ -153,16 +153,7 @@ def realize_component(x: RationalSlopeGerm, n: int) -> EudoxusReal:
     return from_rational(r.numerator, r.denominator)
 
 
-def format_germ(x: RationalSlopeGerm) -> str:
-    num = polyq.format_poly(x.num)
-    den = polyq.format_poly(x.den)
-    if x.den == (1,):
-        return num
-    if " " in num or "/" in num:
-        num = f"({num})"
-    if " " in den:
-        den = f"({den})"
-    return f"{num}/{den}"
+format_germ = RationalSlopeGerm.__str__
 
 
 def format_leading_term(x: RationalSlopeGerm) -> str:

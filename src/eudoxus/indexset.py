@@ -160,7 +160,7 @@ def complement(s: IndexSet) -> IndexSet:
 
 
 def difference(s: IndexSet, t: IndexSet) -> IndexSet:
-    return intersect(s, complement(t))
+    return _binary(s, t, lambda a, b: a & ~b)  # nonnegative, since a is
 
 
 class PartitionError(ValueError):

@@ -3,7 +3,8 @@
 Coefficients are stored lowest-degree first; the zero polynomial is the empty
 tuple. All arithmetic is exact (ints, with Fractions only in transient
 values). `RatFun` is the shared quotient behind index-dependent slopes
-(`hyper.RationalSlopeGerm`) and the calculus layer (`calculus.RatFunction`).
+(`hyper.RationalSlopeGerm`) and the calculus layer (`calculus.RatFunction`);
+it prints itself in its view's variable, i for germs and x otherwise.
 `int_text`, `fraction_text` and `decimal_of_fraction` print integers and
 fractions at any length, also past Python's 4,300-digit limit on int-to-str
 conversion.
@@ -185,14 +186,17 @@ class RatFun(Record):
 
     Rational coefficients are cleared at construction; integer input, such as
     every result of arithmetic, goes straight to normalize_ratfun. Subclasses
-    are views: they name the quotient in messages (`noun`), print it, and
-    return the error to raise at a pole from `pole(x)`.
+    are views, and a view is data: the `noun` that names the quotient in
+    messages, the `var` it prints in, and the error `pole(x)` returns for a
+    pole. `str` prints num/den in the view's variable, bracketing a side only
+    where it has more than one term.
     """
 
     num: Coeffs
     den: Coeffs
 
     noun = "function"
+    var = "x"
 
     def __init__(self, num: Coeffs, den: Coeffs):
         if any(type(c) is not int for p in (num, den) for c in p):
@@ -247,6 +251,12 @@ class RatFun(Record):
             raise self.pole(x)
         return Fraction(eval_at(self.num, x), dv)
 
+    def __str__(self) -> str:
+        num, den = (format_poly(p, self.var) for p in (self.num, self.den))
+        if self.den == (1,):
+            return num
+        return "/".join(f"({t})" if " " in t else t for t in (num, den))
+
 
 def from_fraction_coeffs(coeffs) -> tuple[Coeffs, int]:
     """Clear denominators: return (integer coefficients, common multiplier)."""
@@ -290,7 +300,7 @@ def decimal_of_fraction(value: Fraction, digits: int) -> str:
     return f"{sign}{int_text(ipart)}.{int_text(10**digits + fpart)[1:]}"
 
 
-def format_poly(p: Coeffs, var: str = "i") -> str:
+def format_poly(p: Coeffs, var: str) -> str:
     if not p:
         return "0"
     parts = []

@@ -152,16 +152,14 @@ class EudoxusReal(Record):
         n >= 0 and <= 3(C_f + C_g) for n < 0 (negative arguments pick up the
         f(0) and d_f(n, -n) terms), so a violation refutes equality while a
         pass certifies agreement at every probed scale. f - g is evaluated
-        once per window, as one linear form in which shared atoms cancel.
+        once per check, as one linear form in which shared atoms cancel.
         """
         if window < 1:
             raise ValueError("window must be positive")
         diff = Sum(self.rep, Neg(other.rep))
         tol = diff.bound  # C_f + C_g
-        for args, limit in ((range(window + 1), tol), (range(-window, 0), 3 * tol)):
-            if max(map(abs, ahom.eval_range(diff, args))) > limit:
-                return False
-        return True
+        vals = ahom.eval_range(diff, range(-window, window + 1))
+        return max(map(abs, vals[window:])) <= tol and max(map(abs, vals[:window])) <= 3 * tol
 
     def eval_index(self, digits: int) -> int:
         """The index n that `to_decimal(digits)` evaluates at.
@@ -189,10 +187,6 @@ def from_rational(p: int, q: int) -> EudoxusReal:
 def from_sqrt_int(k: int) -> EudoxusReal:
     """The square root of a nonnegative integer k."""
     return EudoxusReal(FloorSqrt(k))
-
-
-def zero() -> EudoxusReal:
-    return from_rational(0, 1)
 
 
 def one() -> EudoxusReal:

@@ -93,7 +93,7 @@ def _decide(s: IndexSet, meet: IndexSet, budget: int | None) -> tuple[Verdict, I
     hit = indexset.intersect(s, meet)
     if hit.is_infinite():
         return Verdict.ACCEPTED, hit
-    return Verdict.REJECTED, indexset.intersect(indexset.complement(s), meet)
+    return Verdict.REJECTED, indexset.difference(meet, s)
 
 
 def query(

@@ -162,6 +162,8 @@ def test_ratfunction_normal_form():
     g = RatFunction((1, 1), (2,))
     assert f == g
     assert str(from_coeffs((0, -2, 0, 1))) == "x^3 - 2*x"
+    assert str(RatFunction((0, 0, 1), (1, 1))) == "x^2/(x + 1)"
+    assert str(RatFunction((1, 1), (0, 1))) == "(x + 1)/x"
 
 
 def test_bare_ratfun_pole_is_zero_division():

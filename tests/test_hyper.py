@@ -209,6 +209,7 @@ def test_leading_term_and_format():
     assert leading_term(from_real(Fraction(-3, 4))) == (Fraction(-3, 4), 0)
     assert format_germ(hyper.add(from_real(3), dx())) == "(3*i + 1)/i"
     assert format_germ(from_real(5)) == "5"
+    assert str(hyper.germ((1,), (1, 1))) == "1/(i + 1)"
 
 
 def test_piecewise_requires_disjoint_cover():

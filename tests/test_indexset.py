@@ -87,6 +87,7 @@ def test_boolean_algebra_laws_hold_exactly():
         assert complement(union(s, t)) == intersect(complement(s), complement(t))
         assert complement(intersect(s, t)) == union(complement(s), complement(t))
         assert complement(complement(s)) == s
+        assert difference(s, t) == intersect(s, complement(t))
         u = _sample(rng)
         assert intersect(s, union(t, u)) == union(intersect(s, t), intersect(s, u))
 

@@ -161,6 +161,16 @@ def test_opaque_rescaling_on_infinite_class_is_undecidable():
         eq_relation_contains(opaque, _halves())
 
 
+def test_opaque_rescaling_on_finite_class_is_enumerated():
+    # Class 0 is {0, 1}, finite; class 1 is every index from 2 on.
+    classes = Partition((IndexSet("11", "0"), IndexSet("00", "1")))
+    identity = hyper.GeneralRescaling(lambda n: from_rational(n, 1))
+    assert eq_relation_contains(identity, classes) is False  # 0 != 1 on class 0
+    constant = hyper.GeneralRescaling(lambda n: from_rational(1, 2))
+    with pytest.raises(UndecidableWithinBudget):
+        eq_relation_contains(constant, classes)
+
+
 def test_germ_verdict_ignores_class_order_and_poles():
     # 1/(i - 1) has a pole at index 1 and dx = 1/i one at index 0; each pole
     # sits in a finite class, listed first and then last.
