@@ -102,6 +102,15 @@ def _canonicalize(pre: str, period: str) -> tuple[str, str]:
     return pre, period
 
 
+def _from_bits(pre: str, period: str) -> IndexSet:
+    """`IndexSet(pre, period)` for bits this module formatted or matched
+    itself, so known to be 0s and 1s with a nonempty period: canonicalized,
+    not checked again."""
+    s = IndexSet.__new__(IndexSet)
+    Record.__init__(s, *_canonicalize(pre, period))
+    return s
+
+
 def full() -> IndexSet:
     return IndexSet("", "1")
 
@@ -143,7 +152,7 @@ def _binary(s: IndexSet, t: IndexSet, op) -> IndexSet:
     length = lcm(ds, dt)
     per = op(int(s.period * (length // ds), 2), int(t.period * (length // dt), 2))
     pre = format(op(_prefix(s, p), _prefix(t, p)), f"0{p}b") if p else ""
-    return IndexSet(pre, format(per, f"0{length}b"))
+    return _from_bits(pre, format(per, f"0{length}b"))
 
 
 def union(s: IndexSet, t: IndexSet) -> IndexSet:
@@ -156,7 +165,7 @@ def intersect(s: IndexSet, t: IndexSet) -> IndexSet:
 
 def complement(s: IndexSet) -> IndexSet:
     flip = str.maketrans("01", "10")
-    return IndexSet(s.pre.translate(flip), s.period.translate(flip))
+    return _from_bits(s.pre.translate(flip), s.period.translate(flip))
 
 
 def difference(s: IndexSet, t: IndexSet) -> IndexSet:
@@ -198,4 +207,4 @@ def parse(spec: str) -> IndexSet:
         raise IndexSetSyntaxError("period must be nonempty", m.end(4))
     if m.end() != len(spec):
         raise IndexSetSyntaxError("trailing input after set spec", m.end())
-    return IndexSet(m[2], m[4])
+    return _from_bits(m[2], m[4])

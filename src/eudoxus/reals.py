@@ -12,6 +12,7 @@ eps", and `equals_within` is the window surrogate used by the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from . import Record, ahom
 from .ahom import (
@@ -81,8 +82,18 @@ class EudoxusReal(Record):
         return self.add(other.neg())
 
     def mul(self, other: "EudoxusReal") -> "EudoxusReal":
-        # Multiplication is composition of representatives.
-        return EudoxusReal(Compose(self.rep, other.rep))
+        """Multiplication is composition of representatives. A factor that is
+        the identity map leaves the other one as it is, and a product of two
+        known slopes is carried by the product slope's `_slope_rep`."""
+        f, g = self.rep, other.rep
+        if f == _IDENTITY:
+            return other
+        if g == _IDENTITY:
+            return self
+        sf, sg = f.slope, g.slope
+        if sf is None or sg is None:
+            return EudoxusReal(Compose(f, g))
+        return EudoxusReal(_slope_rep(sf[0] * sg[0], sf[1] * sg[1]))
 
     def recip(self, budget: int) -> "EudoxusReal":
         """Multiplicative inverse, requiring a decided sign within budget.
@@ -191,6 +202,26 @@ def from_sqrt_int(k: int) -> EudoxusReal:
 
 def one() -> EudoxusReal:
     return from_rational(1, 1)
+
+
+_IDENTITY = FloorLinear(1, 1)
+
+
+def _slope_rep(q: Fraction, k: int) -> AlmostHom:
+    """The canonical representative of the slope q*sqrt(k), of depth <= 2.
+
+    It is keyed by the reduced fraction N/D = q^2*k, which needs no
+    factoring: the line of slope sqrt(N/D) when N/D is a rational square,
+    else sqrt(N) when D = 1 and sqrt(N*D) composed with the line of slope
+    1/D when D > 1, these two negated when q < 0.
+    """
+    r = q * q * k
+    n, d = r.numerator, r.denominator
+    rn, rd = isqrt(n), isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return FloorLinear(rn if q >= 0 else -rn, rd)
+    root = FloorSqrt(n) if d == 1 else Compose(FloorLinear(1, d), FloorSqrt(n * d))
+    return Neg(root) if q < 0 else root
 
 
 # -- decidable slice of equality ---------------------------------------------

@@ -743,12 +743,27 @@ def test_power_of_a_non_monotone_base_keeps_the_chain():
 
 
 def test_power_budget_used_follows_the_squared_certificate(capsys):
-    # The chain's certificate gave 6597069766652000000000000.
+    # The chain's certificate gave 6597069766652000000000000, and the
+    # squared one 18535278000000000000. A product of known slopes is now
+    # carried by its slope's leaf, linear(1048576), of bound 1.
     code, out, _ = run_cli(["digits", "--json", "sqrt(2)^40"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["budget_used"] == 18535278000000000000
+    assert doc["budget_used"] == 2000000000000
     assert doc["result"]["value"] == "1048576.0000000000"
+
+
+def test_powers_of_known_slopes_answer_at_any_exponent(capsys):
+    # Were still running after 60 s, and a ValueError traceback from
+    # json.dumps on a certificate of about 5,000 digits.
+    code, out, err = run_cli(["digits", "sqrt(2)^100000"], capsys)
+    assert (code, err) == (0, "")
+    assert out == polyq.int_text(2**50000) + ".0000000000\n"
+    code, out, err = run_cli(["digits", "10^5000", "--json"], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["budget_used"] == 2000000000000
+    assert doc["result"]["value"] == polyq.int_text(10**5000) + ".0000000000"
 
 
 def test_nested_invert_evaluates_the_innermost_node_less():

@@ -360,18 +360,20 @@ def test_certified_equal_answers_on_a_long_chain_of_sums():
 
 
 def test_certified_equal_answers_on_a_long_chain_of_products():
+    # Built as nodes: `mul` returns the other factor for the identity map.
     x = from_rational(1, 1)
     for _ in range(1200):
-        x = x.mul(from_rational(1, 1))
+        x = EudoxusReal(Compose(x.rep, FloorLinear(1, 1)))
     assert certified_equal(x, from_rational(1, 1)) is True
 
 
 def test_certified_equal_answers_on_a_chain_whose_bounds_need_deep_evaluation():
     # Each Compose bound evaluates the chain so far at arguments no earlier
-    # node has seen, so every level is evaluated anew.
+    # node has seen, so every level is evaluated anew. The chain is built as
+    # nodes, since `mul` carries a product of known slopes by a leaf.
     y, r = from_rational(1, 1), Fraction(1)
     for _ in range(300):
-        y = y.mul(from_sqrt_int(4)).add(from_rational(1, 7))
+        y = EudoxusReal(Compose(y.rep, FloorSqrt(4))).add(from_rational(1, 7))
         r = 2 * r + Fraction(1, 7)
     assert certified_equal(y, from_rational(r.numerator, r.denominator)) is True
     assert certified_equal(y, from_rational(r.numerator + 1, r.denominator)) is False
@@ -431,6 +433,64 @@ def test_representative_certificates_hold_for_compounds():
     x = from_sqrt_int(2).mul(from_sqrt_int(3)).add(from_rational(-7, 3))
     assert verify_bound(x.rep, 100).ok
     assert isinstance(x.rep, type(x.add(x).rep.left))  # Sum node shape
+
+
+def _known_slope_real(rng: random.Random, depth: int) -> EudoxusReal:
+    """A real whose exact slope is known: rationals, roots, sums of like
+    radicals, negations and reciprocals of those, and their products."""
+    if depth == 0 or rng.random() < 0.3:
+        k, m = rng.randint(0, 12), rng.randint(1, 3)
+        return rng.choice(
+            (
+                from_rational(rng.randint(-9, 9), rng.randint(1, 9)),
+                from_sqrt_int(k),
+                from_sqrt_int(k).add(from_sqrt_int(k * m * m)),
+            )
+        )
+    x = _known_slope_real(rng, depth - 1)
+    kind = rng.choice(("like", "neg", "recip", "mul"))
+    if kind == "like":
+        return x.add(x.mul(from_rational(rng.randint(-3, 3), rng.randint(1, 3))))
+    if kind == "neg":
+        return x.neg()
+    if kind == "recip" and x.rep.slope[0] != 0:
+        return x.recip(1 << 20)
+    return x.mul(_known_slope_real(rng, depth - 1))
+
+
+def test_products_of_known_slopes_get_a_shallow_representative():
+    rng = random.Random(2025)
+    identity, shallow = FloorLinear(1, 1), 0
+    for _ in range(300):
+        x, y = _known_slope_real(rng, 3), _known_slope_real(rng, 3)
+        assert x.rep.slope is not None and y.rep.slope is not None
+        p = x.mul(y)
+        if identity not in (x.rep, y.rep):
+            assert p.rep.depth <= 2, (x.rep, y.rep)
+            shallow += 1
+        assert verify_bound(p.rep, 30).ok, p.rep
+        composed = EudoxusReal(Compose(x.rep, y.rep))
+        assert certified_equal(p, composed) is True
+        assert p.equals_within(composed, 256), (x.rep, y.rep)
+        assert x.mul(y) == y.mul(x)
+        one = reals.one()
+        assert one.mul(x) is x and x.mul(one) is x
+    assert shallow > 250
+
+
+def test_a_long_product_chain_stays_shallow():
+    # Was quadratic: each Compose bound evaluated the whole chain so far.
+    y, r = from_rational(1, 1), Fraction(1)
+    for _ in range(1200):
+        y = y.mul(from_sqrt_int(4))
+        r *= 2
+        assert y.rep.depth <= 2
+    assert y.rep == FloorLinear(2**1200, 1)
+    for _ in range(1200):
+        y = y.mul(from_sqrt_int(4)).add(from_rational(1, 7))
+        r = 2 * r + Fraction(1, 7)
+        assert y.rep.depth <= 2
+    assert certified_equal(y, from_rational(r.numerator, r.denominator)) is True
 
 
 def _random_real(rng: random.Random, depth: int) -> EudoxusReal:
