@@ -84,8 +84,17 @@ def compare(x: RationalSlopeGerm, y: RationalSlopeGerm) -> Order:
     """Eventual-sign comparison; ultrafilter-independent on this tier.
 
     Both denominators have positive leading coefficients, so x - y has the
-    eventual sign of its numerator x.num*y.den - y.num*x.den.
+    eventual sign of its numerator x.num*y.den - y.num*x.den. For nonzero x
+    and y that is read from the normal forms' leading terms: the larger
+    degree gap deg num - deg den dominates, and equal gaps compare the
+    leading ratios. Only a zero operand or a tie expands the cross products.
     """
+    if x.num and y.num:
+        p, q = x.num[-1] * y.den[-1], y.num[-1] * x.den[-1]
+        gap = len(x.num) + len(y.den) - len(y.num) - len(x.den)
+        lead = p if gap > 0 else -q if gap < 0 else p - q
+        if lead:
+            return Order.GREATER if lead > 0 else Order.LESS
     d = polyq.sub(polyq.mul(x.num, y.den), polyq.mul(y.num, x.den))
     if not d:
         return Order.EQUAL
@@ -128,7 +137,7 @@ def standard_part(x: RationalSlopeGerm) -> Fraction:
     """The real infinitely close to a finite germ; errors on infinite ones."""
     c = classify(x)
     if c.st is None:
-        raise InfiniteElement(f"{format_germ(x)} has no standard part")
+        raise InfiniteElement(f"{x} has no standard part")
     return c.st
 
 
@@ -151,9 +160,6 @@ def realize_component(x: RationalSlopeGerm, n: int) -> EudoxusReal:
 
     r = phi_component(x, n)
     return from_rational(r.numerator, r.denominator)
-
-
-format_germ = RationalSlopeGerm.__str__
 
 
 def format_leading_term(x: RationalSlopeGerm) -> str:

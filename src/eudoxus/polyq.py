@@ -5,6 +5,10 @@ tuple. All arithmetic is exact (ints, with Fractions only in transient
 values). `RatFun` is the shared quotient behind index-dependent slopes
 (`hyper.RationalSlopeGerm`) and the calculus layer (`calculus.RatFunction`);
 it prints itself in its view's variable, i for germs and x otherwise.
+`gcd` is GCDHEU: if the integer gcd of both inputs' values at xi =
+2*min(max norm) + 29 is 1, the root bound proves them coprime; otherwise it
+is read back in xi-adic digits and confirmed by `divide_exact`, with the
+pseudo-remainder loop as the fallback.
 `int_text`, `fraction_text` and `decimal_of_fraction` print integers and
 fractions at any length, also past Python's 4,300-digit limit on int-to-str
 conversion.
@@ -21,6 +25,8 @@ Coeffs = tuple
 
 
 def trim(coeffs) -> Coeffs:
+    if type(coeffs) is tuple and (not coeffs or coeffs[-1]):
+        return coeffs  # already trimmed
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
@@ -92,10 +98,7 @@ def eval_at(p: Coeffs, x):
 
 
 def content(p: Coeffs) -> int:
-    g = 0
-    for c in p:
-        g = _int_gcd(g, c)
-    return g
+    return _int_gcd(*p)
 
 
 def primitive(p: Coeffs) -> Coeffs:
@@ -124,8 +127,36 @@ def pseudo_rem(p: Coeffs, q: Coeffs) -> Coeffs:
 
 
 def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
-    """Primitive polynomial gcd with positive leading coefficient."""
+    """Primitive polynomial gcd with positive leading coefficient.
+
+    GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 7, 1989): h is the integer
+    gcd of the primitive inputs' values at xi = 2*min(|a|, |b|) + 29 (max
+    norms). A common factor C of positive degree has only roots of modulus
+    at most 1 + min(|a|, |b|) (Cauchy's bound for the smaller input), so
+    |C(xi)| >= 2, and C(xi) divides h: h = 1 proves a and b coprime.
+    Otherwise h's symmetric xi-adic digits give a polynomial whose primitive
+    part is the gcd once `divide_exact` confirms that it divides a and b.
+    After six failed confirmations, each at a larger xi, the
+    pseudo-remainder loop decides.
+    """
     a, b = primitive(trim(p)), primitive(trim(q))
+    if a and b:
+        xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+        for _ in range(6):
+            h = _int_gcd(eval_at(a, xi), eval_at(b, xi))
+            if h == 1:
+                return (1,)
+            digits = []
+            while h:
+                digits.append((h + xi // 2) % xi - xi // 2)
+                h = (h - digits[-1]) // xi
+            g = primitive(tuple(digits))
+            g = neg(g) if g[-1] < 0 else g
+            try:
+                divide_exact(a, g), divide_exact(b, g)
+                return g
+            except ArithmeticError:
+                xi = xi * 73794 // 27011  # GCDHEU's growth factor, about 2.732
     while b:
         a, b = b, primitive(pseudo_rem(a, b))
     if leading(a) < 0:
@@ -168,7 +199,7 @@ def normalize_ratfun(num, den) -> tuple[Coeffs, Coeffs]:
         g = gcd(num, den)
         if degree(g) > 0:
             num, den = divide_exact(num, g), divide_exact(den, g)
-    c = _int_gcd(content(num), content(den))
+    c = _int_gcd(*num, *den)
     if c > 1:
         num = tuple(a // c for a in num)
         den = tuple(a // c for a in den)
@@ -207,9 +238,9 @@ class RatFun(Record):
 
     @classmethod
     def constant(cls, q):
-        """The rational number q as a constant quotient."""
-        q = Fraction(q)
-        return cls((q.numerator,), (q.denominator,))
+        """The rational number q (an int or a Fraction) as a constant quotient."""
+        n, d = q.as_integer_ratio()
+        return cls((n,), (d,))
 
     def pole(self, x) -> Exception:
         return ZeroDivisionError(f"pole at {x}")

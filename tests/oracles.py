@@ -2,15 +2,16 @@
 
 Everything here deliberately avoids the library's own code paths: integer
 square roots are computed by bisection rather than math.isqrt, decimals by
-long division, derivatives by coefficient formulas, and rational-function
-reconstruction by Gaussian elimination over Fractions.
+long division, derivatives by coefficient formulas, rational-function
+reconstruction by Gaussian elimination over Fractions, and polynomial gcds
+by the monic Euclidean algorithm over Fractions.
 """
 
 from __future__ import annotations
 
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
-from math import ceil, lcm
+from math import ceil, gcd, lcm
 
 
 def bisect_isqrt(n: int) -> int:
@@ -210,6 +211,29 @@ def fraction_long_division(p, d):
         for j, c in enumerate(d):
             r[i + j] -= q[i] * c
     return q, r
+
+
+def fraction_gcd(p, q):
+    """gcd of two integer polynomials by the monic Euclidean algorithm over
+    the rationals, given as the primitive integer polynomial with positive
+    leading coefficient; () when both are zero."""
+
+    def strip(r):
+        r = list(r)
+        while r and r[-1] == 0:
+            r.pop()
+        return r
+
+    a, b = strip(Fraction(c) for c in p), strip(Fraction(c) for c in q)
+    while b:
+        b = [c / b[-1] for c in b]
+        a, b = b, strip(fraction_long_division(a, b)[1])
+    if not a:
+        return ()
+    m = lcm(*(c.denominator for c in a))
+    ints = [int(c * m) for c in a]
+    g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return tuple(c // g for c in ints)
 
 
 def first_sort_error(tree, ctx):

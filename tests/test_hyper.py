@@ -22,7 +22,6 @@ from eudoxus.hyper import (
     constant_rescaling,
     dx,
     eq_mod_filter,
-    format_germ,
     from_real,
     leading_term,
     omega,
@@ -149,6 +148,49 @@ def test_standard_part_is_a_ring_homomorphism():
         assert standard_part(x * y) == standard_part(x) * standard_part(y)
 
 
+def _cross_sign(x: RationalSlopeGerm, y: RationalSlopeGerm) -> int:
+    """Sign of the leading coefficient of x.num*y.den - y.num*x.den, the
+    whole cross product expanded by schoolbook convolution."""
+    n = max(len(x.num) + len(y.den), len(y.num) + len(x.den))
+    d = [0] * n
+    for (p, q), s in (((x.num, y.den), 1), ((y.num, x.den), -1)):
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                d[i + j] += s * a * b
+    lead = next((c for c in reversed(d) if c), 0)
+    return (lead > 0) - (lead < 0)
+
+
+def test_compare_matches_the_cross_product_sign():
+    rng = random.Random(102)
+    sign = {Order.LESS: -1, Order.EQUAL: 0, Order.GREATER: 1}
+    zero = from_real(0)
+    seen = set()
+    for case in range(3000):
+        x = _sample_germ(rng)
+        kind = case % 5
+        if kind == 0:  # independent: mostly distinct degree gaps
+            y = _sample_germ(rng)
+        elif kind == 1:  # tied leading terms: x plus a lower-order multiple
+            y = x + x * dx() * from_real(rng.choice([-3, -1, 2]))
+        elif kind == 2:  # equal degree gaps, leading ratios usually apart
+            y = x * from_real(Fraction(rng.randint(-5, 5), rng.randint(1, 5)))
+        elif kind == 3:  # the same germ, built apart from a scaled quotient
+            k = rng.randint(2, 9)
+            y = hyper.germ(polyq.scale(x.num, k), polyq.scale(x.den, k))
+        else:
+            y = zero
+        for a, b in ((x, y), (y, x)):
+            verdict = sign[compare(a, b)]
+            assert verdict == _cross_sign(a, b)
+            tie = not a.is_zero() and leading_term(a) == leading_term(b)
+            seen.add((kind, verdict, tie))
+    assert sign[compare(zero, zero)] == 0
+    # Every shape above produced each verdict it can, ties included.
+    assert {(1, -1, True), (1, 1, True), (2, -1, False), (2, 1, False)} <= seen
+    assert {(3, 0, True), (4, -1, False), (4, 1, False)} <= seen
+
+
 def test_compare_has_a_computable_threshold():
     rng = random.Random(101)
     done = 0
@@ -207,8 +249,8 @@ def test_leading_term_and_format():
     assert leading_term(dx()) == (Fraction(1), -1)
     assert leading_term(omega()) == (Fraction(1), 1)
     assert leading_term(from_real(Fraction(-3, 4))) == (Fraction(-3, 4), 0)
-    assert format_germ(hyper.add(from_real(3), dx())) == "(3*i + 1)/i"
-    assert format_germ(from_real(5)) == "5"
+    assert str(hyper.add(from_real(3), dx())) == "(3*i + 1)/i"
+    assert str(from_real(5)) == "5"
     assert str(hyper.germ((1,), (1, 1))) == "1/(i + 1)"
 
 
