@@ -13,7 +13,8 @@ costs O(1) at any depth. Equality, the rule text and `repr`, and the
 evaluation of a node over SHALLOW levels deep, run from explicit stacks, so
 depth is no limit. Bulk evaluation reads sums, negations and scales
 as one linear form over atoms keyed by value (`linear_form`), expanding each
-distinct node once. No floats.
+distinct node once. `Sum` and linear forms (`form_slope`) read their slopes
+through the one join of like radicals, `join_slopes`. No floats.
 
 Concurrency: nodes are immutable after construction. The per-node memo table
 only caches values of a pure function, so concurrent use from several threads
@@ -168,6 +169,18 @@ class FloorSqrt(AlmostHom):
         return isqrt(self.k * a * a)
 
 
+def join_slopes(sa, sb):
+    """The slope of a sum of maps of slopes sa and sb; None where one is
+    unknown or they are unlike radicals."""
+    if sa is None or sb is None:
+        return None
+    if sa[0] == 0 or sb[0] == 0:
+        return sb if sa[0] == 0 else sa
+    (qa, ka), (qb, kb) = sa, sb
+    r = isqrt(ka * kb)  # qb*sqrt(kb) = (qb*r/ka)*sqrt(ka) when r*r == ka*kb
+    return (qa + qb * r / ka, ka) if r * r == ka * kb else None
+
+
 class Sum(AlmostHom):
     """Pointwise sum; discrepancies add, so bounds add."""
 
@@ -177,20 +190,11 @@ class Sum(AlmostHom):
     def __post_init__(self):
         a, b = self.left, self.right
         da, db = a.direction, b.direction
-        sa, sb = a.slope, b.slope
-        if sa is None or sb is None:
-            slope = None
-        elif sa[0] == 0 or sb[0] == 0:
-            slope = sb if sa[0] == 0 else sa
-        else:
-            (qa, ka), (qb, kb) = sa, sb
-            r = isqrt(ka * kb)  # qb*sqrt(kb) = (qb*r/ka)*sqrt(ka) when r*r == ka*kb
-            slope = (qa + qb * r / ka, ka) if r * r == ka * kb else None
         self._facts(
             bound=a.bound + b.bound,
             depth=1 + max(a.depth, b.depth),
             direction=db if da == 0 else da if db == 0 or da == db else None,
-            slope=slope,
+            slope=join_slopes(a.slope, b.slope),
         )
 
     def _raw(self, a: int) -> int:
@@ -444,6 +448,16 @@ def linear_form(f: AlmostHom) -> dict:
             parts = ((g.inner, -c),)
         else:
             parts = ((g.inner, g.m * c),)  # a zero coefficient cancels above
+
+
+def form_slope(form: dict):
+    """The slope of a `linear_form`, its terms c*slope(atom) summed through
+    `join_slopes`: None where an atom's slope is unknown or unlike radicals meet."""
+    slope = (Fraction(0), 1)
+    for g, c in form.values():
+        s = g.slope
+        slope = join_slopes(slope, None if s is None else (c * s[0], s[1]))
+    return slope
 
 
 def eval_range(f: AlmostHom, args) -> list[int]:

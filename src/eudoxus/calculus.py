@@ -32,9 +32,6 @@ class RatFunction(polyq.RatFun):
         return SubstitutionPole(f"pole at x = {polyq.fraction_text(x0)}")
 
 
-constant = RatFunction.constant
-
-
 def variable() -> RatFunction:
     return RatFunction((0, 1), (1,))
 

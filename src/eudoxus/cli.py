@@ -489,9 +489,9 @@ def _suite_derivatives(rng):
     cases = [
         (calculus.from_coeffs((0, 0, 1)), Fraction(3), Fraction(6)),
         (calculus.from_coeffs((0, -2, 0, 1)), Fraction(2), Fraction(10)),
-        (calculus.constant(5), Fraction(1), Fraction(0)),
+        (calculus.RatFunction.constant(5), Fraction(1), Fraction(0)),
         (
-            calculus.constant(1) / calculus.variable(),
+            calculus.RatFunction.constant(1) / calculus.variable(),
             Fraction(2),
             Fraction(-1, 4),
         ),

@@ -137,9 +137,13 @@ def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
     Otherwise h's symmetric xi-adic digits give a polynomial whose primitive
     part is the gcd once `divide_exact` confirms that it divides a and b.
     After six failed confirmations, each at a larger xi, the
-    pseudo-remainder loop decides.
+    pseudo-remainder loop decides. A power x^m dividing both inputs, which
+    would multiply each value by xi^m, is taken out first.
     """
     a, b = primitive(trim(p)), primitive(trim(q))
+    if a and b and not a[0] and not b[0]:
+        m = min(next(i for i, c in enumerate(f) if c) for f in (a, b))
+        return (0,) * m + gcd(a[m:], b[m:])
     if a and b:
         xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
         for _ in range(6):

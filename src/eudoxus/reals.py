@@ -162,15 +162,24 @@ class EudoxusReal(Record):
         If the two elements are equal then |f(n) - g(n)| <= C_f + C_g for all
         n >= 0 and <= 3(C_f + C_g) for n < 0 (negative arguments pick up the
         f(0) and d_f(n, -n) terms), so a violation refutes equality while a
-        pass certifies agreement at every probed scale. f - g is evaluated
-        once per check, as one linear form in which shared atoms cancel.
+        pass certifies agreement at every probed scale. Where the linear form
+        of h = f - g gives its exact slope r, r decides: |h(n) - r*n| <= tol =
+        C_f + C_g at every n (the slope lemma in `ahom.Compose`), so r = 0
+        passes, and |r|*window > 2*tol fails, with |h(window)| > tol.
+        Otherwise h is evaluated once, as the form in which shared atoms cancel.
         """
         if window < 1:
             raise ValueError("window must be positive")
         diff = Sum(self.rep, Neg(other.rep))
         tol = diff.bound  # C_f + C_g
+        slope = ahom.form_slope(ahom.linear_form(diff))
+        if slope is not None:
+            q, k = slope
+            if q == 0 or q * q * k * window * window > 4 * tol * tol:
+                return q == 0
         vals = ahom.eval_range(diff, range(-window, window + 1))
-        return max(map(abs, vals[window:])) <= tol and max(map(abs, vals[:window])) <= 3 * tol
+        pos, neg, far = vals[window:], vals[:window], 3 * tol
+        return -tol <= min(pos) and max(pos) <= tol and -far <= min(neg) and max(neg) <= far
 
     def eval_index(self, digits: int) -> int:
         """The index n that `to_decimal(digits)` evaluates at.

@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -71,6 +72,16 @@ def _gcd_cases(rng: random.Random):
         yield a, b
 
 
+def _x_power_cases(rng: random.Random):
+    """`_gcd_cases` with a power x^m, m up to 50, planted on one side or both."""
+    for case, (a, b) in zip(range(240), _gcd_cases(rng)):
+        x_m = (0,) * rng.randint(1, 50) + (1,)
+        a = polyq.mul(x_m, a)
+        if case % 2:
+            b = polyq.mul((0,) * rng.randint(1, 50) + (1,), b)
+        yield a, b
+
+
 def _expected_normal_form(num, den):
     """num/den in lowest terms through the oracle gcd and Fraction division."""
     if not num:
@@ -84,7 +95,8 @@ def _expected_normal_form(num, den):
 
 
 def test_gcd_and_normal_form_match_the_euclid_oracle():
-    for a, b in _gcd_cases(random.Random(93)):
+    cases = chain(_gcd_cases(random.Random(93)), _x_power_cases(random.Random(94)))
+    for a, b in cases:
         assert polyq.gcd(a, b) == fraction_gcd(a, b)
         if b:
             assert polyq.normalize_ratfun(a, b) == _expected_normal_form(a, b)

@@ -3,11 +3,12 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
-from eudoxus import reals
+from eudoxus import ahom, reals
 from eudoxus.ahom import (
     Compose,
     FloorLinear,
@@ -43,6 +44,7 @@ from oracles import (
     tree_bound,
     tree_direction,
     tree_slope,
+    window_equal,
 )
 
 
@@ -166,6 +168,62 @@ def test_field_axioms_modulo_bounded():
         assert x.add(y).add(z).equals_within(x.add(y.add(z)), 256)
         assert x.mul(y).equals_within(y.mul(x), 256)
         assert x.mul(y.add(z)).equals_within(x.mul(y).add(x.mul(z)), 256)
+
+
+def _like_radical(rng: random.Random, k: int) -> EudoxusReal:
+    """A rational if k = 1, else a signed root of k*m^2: of the class of sqrt(k)."""
+    if k == 1:
+        return from_rational(rng.randint(-9, 9), rng.randint(1, 9))
+    root = from_sqrt_int(k * rng.randint(1, 3) ** 2)
+    return root if rng.random() < 0.5 else root.neg()
+
+
+def _window_pair(rng: random.Random, kind: str, window: int) -> tuple:
+    if kind == "zero":  # x*(y+z) and x*y + x*z over one radical class
+        x = _like_radical(rng, rng.choice((1, 2, 3)))
+        k = rng.choice((1, 2, 5))
+        y, z = _like_radical(rng, k), _like_radical(rng, k)
+        return x.mul(y.add(z)), x.mul(y).add(x.mul(z))
+    if kind == "known":  # f and f plus the line 1/m, m on both sides of window/(2*tol)
+        f = _like_radical(rng, rng.choice((1, 2, 3))).add(_sample(rng))
+        m0 = window // (4 * f.rep.bound + 2)
+        m = max(1, rng.randint(m0 // 2, 2 * m0 + 2))
+        return f, EudoxusReal(Sum(f.rep, FloorLinear(rng.choice((-1, 1)), m)))
+    k, j = rng.sample((2, 3, 5, 6, 7, 10, 11), 2)
+    if rng.random() < 0.5:  # sqrt(k) against a line near it
+        q = rng.choice((7, 70, 7000))
+        return from_sqrt_int(k), from_rational(isqrt(k * q * q) + rng.randint(-1, 1), q)
+    # x*(y+z) with unlike radicals y and z, which is a Compose
+    x, y, z = _like_radical(rng, rng.choice((1, 2))), from_sqrt_int(k), from_sqrt_int(j)
+    return x.mul(y.add(z)), x.mul(y).add(x.mul(z))
+
+
+def test_slope_decisions_agree_with_the_window_check():
+    rng = random.Random(2027)
+    seen = {}
+    for kind in ("zero", "known", "undecided"):
+        for window in (1, 64, 1000):
+            for _ in range(40):
+                f, g = _window_pair(rng, kind, window)
+                form = ahom.linear_form(Sum(f.rep, Neg(g.rep)))
+                slope = ahom.form_slope(form)
+                if slope is None:
+                    found = "undecided"
+                else:
+                    tol = f.rep.bound + g.rep.bound
+                    q, k = slope
+                    found = "zero" if q == 0 else "known"
+                    decided = q == 0 or q * q * k * window * window > 4 * tol * tol
+                    found += " decided" if decided else " in the window"
+                want = window_equal(f.rep, g.rep, window)
+                assert f.equals_within(g, window) is want, (str(f.rep), str(g.rep), window)
+                seen.setdefault(found, set()).add(want)
+                assert found.startswith(kind), (kind, found, str(f.rep), str(g.rep))
+                assert form or kind != "zero"
+    assert seen["zero decided"] == {True}
+    assert seen["known decided"] == {False}
+    assert seen["known in the window"] == {True, False}
+    assert seen["undecided"] == {True, False}
 
 
 def test_embedding_is_a_homomorphism():
@@ -415,11 +473,16 @@ def _balanced_sum(leaves):
     return EudoxusReal(leaves[0])
 
 
-def test_a_window_check_keeps_no_values_between_points_or_calls():
-    # Two equal balanced sums of 4,096 leaves; values kept per node would
-    # hold several megabytes.
-    x = _balanced_sum([FloorSqrt(2 + i % 7) for i in range(4096)])
-    y = _balanced_sum([FloorSqrt(2 + i % 7) for i in range(4096)])
+def test_a_window_check_keeps_no_values_between_points_or_calls(monkeypatch):
+    # Two balanced sums of 4,096 leaves; values kept per node would hold
+    # several megabytes. They differ in one leaf, sqrt(2) against the line of
+    # slope 1414/1000, so their difference has no exact slope and the window
+    # is evaluated, and it stays within the tolerance.
+    leaves = [FloorSqrt(2 + i % 7) for i in range(4096)]
+    x = _balanced_sum(leaves)
+    y = _balanced_sum([FloorLinear(1414, 1000)] + leaves[1:])
+    windows, eval_range = [], ahom.eval_range
+    monkeypatch.setattr(ahom, "eval_range", lambda f, a: windows.append(a) or eval_range(f, a))
     tracemalloc.start()
     try:
         assert x.equals_within(y, 1000) is True
@@ -427,6 +490,7 @@ def test_a_window_check_keeps_no_values_between_points_or_calls():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
+    assert windows == [range(-1000, 1001)]
 
 
 def test_representative_certificates_hold_for_compounds():
@@ -471,7 +535,7 @@ def test_products_of_known_slopes_get_a_shallow_representative():
         assert verify_bound(p.rep, 30).ok, p.rep
         composed = EudoxusReal(Compose(x.rep, y.rep))
         assert certified_equal(p, composed) is True
-        assert p.equals_within(composed, 256), (x.rep, y.rep)
+        assert window_equal(p.rep, composed.rep, 256), (x.rep, y.rep)
         assert x.mul(y) == y.mul(x)
         one = reals.one()
         assert one.mul(x) is x and x.mul(one) is x

@@ -1,15 +1,22 @@
-"""Scaling guards: the work a germ power does must not grow with its degree.
+"""Scaling guards: work that must not grow with the size of a request.
 
-Each guard counts `polyq.pseudo_rem` calls through the `pseudo_rem_calls`
+The germ guards count `polyq.pseudo_rem` calls through the `pseudo_rem_calls`
 fixture (conftest.py, a wrapper put on in the test) while the CLI answers
 the same request at n = 100, 200 and 400. Coprime normal forms are settled
 by one evaluation gcd, so the count stays flat; a gcd that runs the
 Euclidean loop on them takes a step per degree, and its count grows with n.
+
+The window guard counts leaf evaluations while `equals_within` checks the
+same pair at windows 1,000 and 16,000: a pair whose exact slope decides the
+check evaluates nothing at either size.
 """
 
 import pytest
 
+from eudoxus import ahom
+from eudoxus.ahom import FloorLinear, FloorSqrt
 from eudoxus.cli import main
+from eudoxus.reals import from_rational, from_sqrt_int
 
 
 @pytest.mark.parametrize(
@@ -25,3 +32,49 @@ def test_germ_power_gcd_work_is_flat_in_the_degree(argv, pseudo_rem_calls, capsy
         counts[n] = len(pseudo_rem_calls)
     capsys.readouterr()
     assert counts[400] <= 1.25 * counts[100] + 4, counts
+
+
+@pytest.fixture
+def leaf_evaluations(monkeypatch):
+    """A list that gains, per leaf `_raw` call, a 1, and per `ahom.eval_range`
+    call, the number of arguments times the leaves of the form it evaluates."""
+    counts = []
+    eval_range = ahom.eval_range
+
+    def counting_range(f, args):
+        args = list(args)
+        leaves = sum(type(g) in (FloorLinear, FloorSqrt) for g in ahom.linear_form(f))
+        counts.append(len(args) * leaves)
+        return eval_range(f, args)
+
+    monkeypatch.setattr(ahom, "eval_range", counting_range)
+    for leaf in (FloorLinear, FloorSqrt):
+        raw = leaf._raw
+        monkeypatch.setattr(leaf, "_raw", lambda self, a, raw=raw: counts.append(1) or raw(self, a))
+    return counts
+
+
+def _field_law_pairs():
+    """Pairs whose difference has a known slope: zero where the law holds,
+    1 for the shift; and one pair of unlike radicals, whose slope is None."""
+    x, y, z, w = from_sqrt_int(2), from_rational(-3, 7), from_sqrt_int(8), from_sqrt_int(3)
+    decided = [
+        (x.add(y).add(z), x.add(y.add(z))),
+        (x.mul(z), z.mul(x)),
+        (z.mul(x.add(z)), z.mul(x).add(z.mul(z))),
+        (x.add(y), x.add(y).add(from_rational(1, 1))),
+    ]
+    return decided, (x.mul(y.add(w)), x.mul(y).add(x.mul(w)))
+
+
+def test_a_decided_window_check_does_not_grow_with_the_window(leaf_evaluations):
+    def work(f, g, window):
+        del leaf_evaluations[:]
+        f.equals_within(g, window)
+        return sum(leaf_evaluations)
+
+    decided, undecided = _field_law_pairs()
+    for f, g in decided:
+        assert work(f, g, 1000) == work(f, g, 16000), (str(f.rep), str(g.rep))
+    # The count sees a window that is evaluated.
+    assert work(*undecided, 16000) >= 15 * work(*undecided, 1000) > 0
