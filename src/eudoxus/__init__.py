@@ -23,8 +23,7 @@ _EXPORTS = {
     "indexset": "IndexSet IndexSetSyntaxError",
     "lup": "ClosureReport LimitFilterSpec Partition PartitionError"
     " UndecidableWithinBudget is_admissible",
-    "reals": "EudoxusReal Greater IndistinguishableWithin Less Negative Positive"
-    " UndecidedSign ZeroWithin from_rational from_sqrt_int",
+    "reals": "EudoxusReal Negative Positive UndecidedSign ZeroWithin from_rational from_sqrt_int",
     "ufsim": "Containment FilterState TraceError Verdict fresh_state query",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

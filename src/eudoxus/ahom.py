@@ -13,8 +13,9 @@ costs O(1) at any depth. Equality, the rule text and `repr`, and the
 evaluation of a node over SHALLOW levels deep, run from explicit stacks, so
 depth is no limit. Bulk evaluation reads sums, negations and scales
 as one linear form over atoms keyed by value (`linear_form`), expanding each
-distinct node once. `Sum` and linear forms (`form_slope`) read their slopes
-through the one join of like radicals, `join_slopes`. No floats.
+distinct node once. Exact slopes are `Slope` values, combined only through
+its methods: `Sum` and linear forms (`form_slope`) join like radicals with
+`Slope.plus`. No floats.
 
 Concurrency: nodes are immutable after construction. The per-node memo table
 only caches values of a pure function, so concurrent use from several threads
@@ -24,6 +25,7 @@ is safe (a race can at worst recompute the same value).
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
@@ -46,6 +48,62 @@ class RuleSyntaxError(ValueError):
         self.offset = offset
 
 
+class Slope(namedtuple("Slope", "q k")):
+    """The exact slope q*sqrt(k) of a node as the pair (q, k): rational q,
+    integer k >= 1. k is not factored: sqrt(8) has slope (1, 8). Slopes
+    combine through named methods, since a tuple's `+` and `*` concatenate
+    and repeat; a slope is never falsy, so `s and s.scaled(m)` keeps None.
+    """
+
+    __slots__ = ()
+
+    def plus(self, other: Slope):
+        """The slope of a sum; None for unlike radicals: both nonzero, ka*kb not a square."""
+        (qa, ka), (qb, kb) = self, other
+        if qa == 0 or qb == 0:
+            return other if qa == 0 else self
+        r = ka if ka == kb else isqrt(ka * kb)  # qb*sqrt(kb) = (qb*r/ka)*sqrt(ka) if r*r == ka*kb
+        return Slope(qa + qb * r / ka, ka) if r * r == ka * kb else None
+
+    def scaled(self, m) -> Slope:
+        return Slope(m * self.q, self.k)
+
+    def times(self, other: Slope) -> Slope:
+        return Slope(self.q * other.q, self.k * other.k)
+
+    def inverse(self):
+        """1/(q*sqrt(k)) = (1/(q*k))*sqrt(k); None for zero."""
+        q, k = self
+        return None if q == 0 else Slope(1 / (q * k), k)
+
+    def same(self, other: Slope) -> bool:
+        """Value equality, read from the difference."""
+        d = self.plus(other.scaled(-1))
+        return d is not None and d.q == 0
+
+    def exceeds(self, bound) -> bool:
+        """|q*sqrt(k)| > bound, for a rational bound >= 0."""
+        return self.q * self.q * self.k > bound * bound
+
+    def rep(self) -> AlmostHom:
+        """The canonical node of this slope, of depth <= 2. A rational slope
+        is its own line. Any other is keyed by the reduced fraction N/D =
+        q^2*k, which needs no factoring: the line of slope sqrt(N/D) when N/D
+        is a rational square, else sqrt(N) when D = 1 and sqrt(N*D) composed
+        with the line of slope 1/D when D > 1, these two negated when q < 0.
+        """
+        q, k = self
+        if k == 1:
+            return FloorLinear(q.numerator, q.denominator)
+        r = q * q * k
+        n, d = r.numerator, r.denominator
+        rn, rd = isqrt(n), isqrt(d)
+        if rn * rn == n and rd * rd == d:
+            return FloorLinear(rn if q >= 0 else -rn, rd)
+        root = FloorSqrt(n) if d == 1 else Compose(FloorLinear(1, d), FloorSqrt(n * d))
+        return Neg(root) if q < 0 else root
+
+
 class AlmostHom(Record):
     """Base class of rule-tree nodes.
 
@@ -53,10 +111,9 @@ class AlmostHom(Record):
     record through `_facts` four facts set from their children's: `bound`
     (the certified discrepancy bound), `direction` (the monotonicity the
     node has by construction: +1 nondecreasing, -1 nonincreasing, 0
-    constant), `slope` (the exact slope (q, k), meaning q*sqrt(k) with
-    rational q and integer k >= 1), None where the structure does not
-    decide, and `depth`. `_facts` also fixes the node's hash from its type
-    and field values, a child's hash being stored already. Two nodes are
+    constant), `slope` (the exact `Slope`, None where the structure does
+    not decide), and `depth`. `_facts` also fixes the node's hash from its
+    type and field values, a child's hash being stored already. Two nodes are
     equal when they share type, hash and integer fields and their children
     are equal, compared pair by pair from a stack that skips a subtree both
     sides share. `repr` is the `parse_rule` call that rebuilds the node.
@@ -139,7 +196,7 @@ class FloorLinear(AlmostHom):
         if self.q < 1:
             raise ValueError("denominator must be a positive integer")
         p = self.p
-        self._facts(bound=1, direction=(p > 0) - (p < 0), slope=(Fraction(p, self.q), 1))
+        self._facts(bound=1, direction=(p > 0) - (p < 0), slope=Slope(Fraction(p, self.q), 1))
 
     def _raw(self, a: int) -> int:
         return (self.p * a) // self.q
@@ -150,7 +207,7 @@ class FloorSqrt(AlmostHom):
 
     For a >= 0 this is floor(sqrt(k) * a); negative arguments use the odd
     extension, which changes each value by at most 1 and therefore keeps the
-    discrepancy within 2. k is not factored: sqrt(8) has slope (1, 8).
+    discrepancy within 2.
     """
 
     k: int
@@ -159,26 +216,12 @@ class FloorSqrt(AlmostHom):
         if self.k < 0:
             raise ValueError("radicand must be nonnegative")
         k = self.k
-        self._facts(
-            bound=2, direction=1 if k else 0, slope=(Fraction(1), k) if k else (Fraction(0), 1)
-        )
+        self._facts(bound=2, direction=1 if k else 0, slope=Slope(Fraction(1 if k else 0), k or 1))
 
     def _raw(self, a: int) -> int:
         if a < 0:
             return -isqrt(self.k * a * a)
         return isqrt(self.k * a * a)
-
-
-def join_slopes(sa, sb):
-    """The slope of a sum of maps of slopes sa and sb; None where one is
-    unknown or they are unlike radicals."""
-    if sa is None or sb is None:
-        return None
-    if sa[0] == 0 or sb[0] == 0:
-        return sb if sa[0] == 0 else sa
-    (qa, ka), (qb, kb) = sa, sb
-    r = isqrt(ka * kb)  # qb*sqrt(kb) = (qb*r/ka)*sqrt(ka) when r*r == ka*kb
-    return (qa + qb * r / ka, ka) if r * r == ka * kb else None
 
 
 class Sum(AlmostHom):
@@ -189,12 +232,12 @@ class Sum(AlmostHom):
 
     def __post_init__(self):
         a, b = self.left, self.right
-        da, db = a.direction, b.direction
+        da, db, sa, sb = a.direction, b.direction, a.slope, b.slope
         self._facts(
             bound=a.bound + b.bound,
             depth=1 + max(a.depth, b.depth),
             direction=db if da == 0 else da if db == 0 or da == db else None,
-            slope=join_slopes(a.slope, b.slope),
+            slope=sa and sb and sa.plus(sb),
         )
 
     def _raw(self, a: int) -> int:
@@ -216,7 +259,7 @@ class Neg(AlmostHom):
             bound=f.bound,
             depth=f.depth + 1,
             direction=None if d is None else -d,
-            slope=None if s is None else (-s[0], s[1]),
+            slope=s and s.scaled(-1),
         )
 
     def _raw(self, a: int) -> int:
@@ -239,7 +282,7 @@ class IntScale(AlmostHom):
             bound=max(1, abs(m) * f.bound),
             depth=f.depth + 1,
             direction=0 if m == 0 else None if d is None else d if m > 0 else -d,
-            slope=None if s is None else (m * s[0], s[1]),
+            slope=s and s.scaled(m),
         )
 
     def _raw(self, a: int) -> int:
@@ -279,11 +322,10 @@ class Compose(AlmostHom):
     def __post_init__(self):
         g, f = self.outer, self.inner
         a, b = g.direction, f.direction
-        sa, sb = g.slope, f.slope
         self._facts(
             depth=1 + max(g.depth, f.depth),
             direction=0 if a == 0 or b == 0 else None if a is None or b is None else a * b,
-            slope=None if sa is None or sb is None else (sa[0] * sb[0], sa[1] * sb[1]),
+            slope=g.slope and f.slope and g.slope.times(f.slope),
         )
         # Read now, like the other facts, so that no later read walks down a
         # chain of products whose bounds were never computed.
@@ -314,8 +356,7 @@ class Invert(AlmostHom):
     nondecreasing. `witness_n` is an index with inner(witness_n) >
     inner.bound, certifying positivity; from it a positive rational lower
     bound r_lo <= r is derived, giving the certificate
-    |value(p) - p/r| <= C/r + 1 and hence the bound 3*(C/r_lo + 1). The
-    slope 1/(q*sqrt(k)) is (1/(q*k))*sqrt(k).
+    |value(p) - p/r| <= C/r + 1 and hence the bound 3*(C/r_lo + 1).
     """
 
     inner: AlmostHom
@@ -332,12 +373,11 @@ class Invert(AlmostHom):
         # monotone, ceil(3*(C/r_lo + 1)) is the least of the probes' integer
         # ceilings 3 + ceil(3*C*n/(f(n) - C)).
         probes = [(n, f.eval(n)) for n in (self.witness_n << j for j in range(13))]
-        s = f.slope
         self._facts(
             bound=3 + min(-(-3 * c * n // (fn - c)) for n, fn in probes if fn > c),
             depth=f.depth + 1,
             direction=1,
-            slope=None if s is None or s[0] == 0 else (1 / (s[0] * s[1]), s[1]),
+            slope=f.slope and f.slope.inverse(),
         )
 
     def _raw(self, a: int) -> int:
@@ -452,11 +492,10 @@ def linear_form(f: AlmostHom) -> dict:
 
 def form_slope(form: dict):
     """The slope of a `linear_form`, its terms c*slope(atom) summed through
-    `join_slopes`: None where an atom's slope is unknown or unlike radicals meet."""
-    slope = (Fraction(0), 1)
+    `Slope.plus`: None where an atom's slope is unknown or unlike radicals meet."""
+    slope = Slope(Fraction(0), 1)
     for g, c in form.values():
-        s = g.slope
-        slope = join_slopes(slope, None if s is None else (c * s[0], s[1]))
+        slope = slope and g.slope and slope.plus(g.slope.scaled(c))
     return slope
 
 

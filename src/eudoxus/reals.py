@@ -5,14 +5,13 @@ lim f(n)/n is the number it denotes, and the certified bound C turns every
 finite computation into an interval statement: |f(n)/n - r| <= C/n for n >= 1.
 
 Equality of field elements is semidecidable only, so the API never pretends
-otherwise: comparisons take a budget and may answer "indistinguishable within
-eps", and `equals_within` is the window surrogate used by the test suite.
+otherwise: a sign read takes a budget and may answer "zero within eps", and
+`equals_within` is the window surrogate used by the test suite.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from . import Record, ahom
 from .ahom import (
@@ -53,18 +52,6 @@ class ZeroWithin(Record):
     eps: Fraction
 
 
-class Less(Record):
-    pass
-
-
-class Greater(Record):
-    pass
-
-
-class IndistinguishableWithin(Record):
-    eps: Fraction
-
-
 class EudoxusReal(Record):
     """A real number carried by a chosen certified representative."""
 
@@ -84,16 +71,15 @@ class EudoxusReal(Record):
     def mul(self, other: "EudoxusReal") -> "EudoxusReal":
         """Multiplication is composition of representatives. A factor that is
         the identity map leaves the other one as it is, and a product of two
-        known slopes is carried by the product slope's `_slope_rep`."""
+        known slopes is carried by the product slope's `Slope.rep`."""
         f, g = self.rep, other.rep
         if f == _IDENTITY:
             return other
         if g == _IDENTITY:
             return self
-        sf, sg = f.slope, g.slope
-        if sf is None or sg is None:
+        if f.slope is None or g.slope is None:
             return EudoxusReal(Compose(f, g))
-        return EudoxusReal(_slope_rep(sf[0] * sg[0], sf[1] * sg[1]))
+        return EudoxusReal(f.slope.times(g.slope).rep())
 
     def recip(self, budget: int) -> "EudoxusReal":
         """Multiplicative inverse, requiring a decided sign within budget.
@@ -148,14 +134,6 @@ class EudoxusReal(Record):
             return Negative()
         return ZeroWithin(Fraction(c + abs(v), n))
 
-    def compare(self, other: "EudoxusReal", budget: int):
-        verdict = self.sub(other).sign_budget(budget)
-        if isinstance(verdict, Positive):
-            return Greater()
-        if isinstance(verdict, Negative):
-            return Less()
-        return IndistinguishableWithin(verdict.eps)
-
     def equals_within(self, other: "EudoxusReal", window: int = 256) -> bool:
         """Window surrogate for class equality.
 
@@ -173,10 +151,8 @@ class EudoxusReal(Record):
         diff = Sum(self.rep, Neg(other.rep))
         tol = diff.bound  # C_f + C_g
         slope = ahom.form_slope(ahom.linear_form(diff))
-        if slope is not None:
-            q, k = slope
-            if q == 0 or q * q * k * window * window > 4 * tol * tol:
-                return q == 0
+        if slope is not None and (not slope.exceeds(0) or slope.scaled(window).exceeds(2 * tol)):
+            return not slope.exceeds(0)
         vals = ahom.eval_range(diff, range(-window, window + 1))
         pos, neg, far = vals[window:], vals[:window], 3 * tol
         return -tol <= min(pos) and max(pos) <= tol and -far <= min(neg) and max(neg) <= far
@@ -216,30 +192,13 @@ def one() -> EudoxusReal:
 _IDENTITY = FloorLinear(1, 1)
 
 
-def _slope_rep(q: Fraction, k: int) -> AlmostHom:
-    """The canonical representative of the slope q*sqrt(k), of depth <= 2.
-
-    It is keyed by the reduced fraction N/D = q^2*k, which needs no
-    factoring: the line of slope sqrt(N/D) when N/D is a rational square,
-    else sqrt(N) when D = 1 and sqrt(N*D) composed with the line of slope
-    1/D when D > 1, these two negated when q < 0.
-    """
-    r = q * q * k
-    n, d = r.numerator, r.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return FloorLinear(rn if q >= 0 else -rn, rd)
-    root = FloorSqrt(n) if d == 1 else Compose(FloorLinear(1, d), FloorSqrt(n * d))
-    return Neg(root) if q < 0 else root
-
-
 # -- decidable slice of equality ---------------------------------------------
 #
-# On the rule catalogue many elements have an exact slope of the shape
-# q * sqrt(k) with rational q and integer k >= 1, which each node carries as
-# `slope` where its structure decides it. Comparing two such forms gives a
-# sound, certified equality decision; a certified window violation gives a
-# sound inequality decision; everything else is honestly undecided (None).
+# On the rule catalogue many elements have an exact slope q * sqrt(k), an
+# `ahom.Slope` that each node carries as `slope` where its structure decides
+# it. `Slope.same` on two of them gives a sound, certified equality decision;
+# a certified window violation gives a sound inequality decision; everything
+# else is honestly undecided (None).
 
 REFUTATION_WINDOW = 64  # the window certified_equal searches for a violation
 
@@ -248,8 +207,7 @@ def certified_equal(x: EudoxusReal, y: EudoxusReal):
     """Three-valued equality: True/False when certified, None when undecided."""
     sx, sy = x.rep.slope, y.rep.slope
     if sx is not None and sy is not None:
-        (qx, kx), (qy, ky) = sx, sy
-        return qx * qy >= 0 and qx * qx * kx == qy * qy * ky
+        return sx.same(sy)
     # Maps equal at every point are the same real.
     if not ahom.linear_form(Sum(x.rep, Neg(y.rep))):
         return True

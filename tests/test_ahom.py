@@ -1,7 +1,11 @@
+import copy
+import pickle
 import random
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ from eudoxus.ahom import (
     Invert,
     Neg,
     RuleSyntaxError,
+    Slope,
     Sum,
     discrepancy,
     eval_range,
@@ -676,3 +681,79 @@ def _square(f):
 )
 def test_deep_invert_and_squared_power_certificates_audit(f):
     assert verify_bound(f, 30).ok
+
+
+# -- exact slopes ------------------------------------------------------------------
+
+
+def _squarefree_part(k: int) -> int:
+    """k with every square factor divided out, by trial division."""
+    d = 2
+    while d * d <= k:
+        while k % (d * d) == 0:
+            k //= d * d
+        d += 1
+    return k
+
+
+def _slope_value(s) -> Decimal:
+    """q*sqrt(k) by `decimal`, at the precision of the current context."""
+    q, k = s
+    return Decimal(q.numerator) / Decimal(q.denominator) * Decimal(k).sqrt()
+
+
+def _random_slope(rng: random.Random) -> Slope:
+    """Zero or a signed q times sqrt(m^2 * r), so radicands share square factors."""
+    q = Fraction(0 if rng.random() < 0.15 else rng.randint(-30, 30), rng.randint(1, 20))
+    return Slope(q, rng.choice((1, 2, 3, 6, 7)) * rng.randint(1, 4) ** 2)
+
+
+def test_slope_methods_agree_with_fraction_and_decimal_references():
+    rng = random.Random(2028)
+    seen = {"unlike": 0, "same": 0, "zero": 0}
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def close(got: Slope, want: Decimal) -> bool:
+            return abs(_slope_value(got) - want) <= Decimal(10) ** -50 * max(1, abs(want))
+
+        for _ in range(3000):
+            a = _random_slope(rng)
+            if rng.random() < 0.3:  # the value of a, or of -a, written over another radicand
+                m = rng.randint(1, 3)
+                b = Slope(rng.choice((1, -1)) * a.q / m, a.k * m * m)
+            else:
+                b = _random_slope(rng)
+            va, vb, m = _slope_value(a), _slope_value(b), rng.randint(-5, 5)
+            unlike = a.q != 0 and b.q != 0 and _squarefree_part(a.k) != _squarefree_part(b.k)
+            total = a.plus(b)
+            assert (total is None) == unlike, (a, b)
+            assert total is None or close(total, va + vb), (a, b)
+            assert close(a.times(b), va * vb) and close(a.scaled(m), m * va), (a, b, m)
+            inverse = a.inverse()
+            assert (inverse is None) == (a.q == 0), a
+            assert inverse is None or close(inverse, 1 / va), a
+            same = close(b, va)
+            assert a.same(b) is same and (a.rep() == b.rep()) is same, (a, b)
+            for s in (a, total or b):
+                shown = EudoxusReal(s.rep()).to_decimal(40)
+                assert abs(Decimal(shown) - _slope_value(s)) <= Decimal(10) ** -40, s
+            seen["unlike"] += unlike
+            seen["same"] += same
+            seen["zero"] += a.q == 0
+    assert min(seen.values()) > 200, seen
+
+
+def test_a_node_pickles_and_copies_with_its_slope():
+    f = Sum(FloorSqrt(2), Compose(FloorSqrt(2), FloorSqrt(4)))
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert g == f and g.slope == (Fraction(3), 2) and type(g.slope) is Slope
+
+
+def test_a_rational_slope_is_its_own_line():
+    rng = random.Random(2029)
+    for _ in range(500):
+        q, m = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)), rng.randint(1, 9)
+        line = Slope(q, 1).rep()
+        assert line == FloorLinear(q.numerator, q.denominator)
+        assert line == Slope(q / m, m * m).rep(), (q, m)

@@ -23,9 +23,6 @@ from eudoxus.ahom import (
 )
 from eudoxus.reals import (
     EudoxusReal,
-    Greater,
-    IndistinguishableWithin,
-    Less,
     Negative,
     Positive,
     UndecidedSign,
@@ -117,14 +114,15 @@ def test_sign_budget_examples():
 
 
 def test_compare_examples():
+    # x < y, x > y and x ~ y are read from the sign of x - y.
     assert isinstance(
-        from_rational(1, 3).compare(from_rational(1, 2), 256), Less
+        from_rational(1, 3).sub(from_rational(1, 2)).sign_budget(256), Negative
     )
     assert isinstance(
-        from_sqrt_int(2).compare(from_rational(141, 100), 1 << 16), Greater
+        from_sqrt_int(2).sub(from_rational(141, 100)).sign_budget(1 << 16), Positive
     )
     x = from_sqrt_int(7)
-    assert isinstance(x.compare(x, 1 << 10), IndistinguishableWithin)
+    assert isinstance(x.sub(x).sign_budget(1 << 10), ZeroWithin)
 
 
 def test_to_decimal_examples():
@@ -245,10 +243,10 @@ def test_order_and_slope_agree():
         b = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
         x = from_rational(a.numerator, a.denominator)
         y = from_rational(b.numerator, b.denominator)
-        verdict = x.compare(y, 1 << 16)
-        if isinstance(verdict, Less):
+        verdict = x.sub(y).sign_budget(1 << 16)
+        if isinstance(verdict, Negative):
             assert x.slope_approx(24) < y.slope_approx(24)
-        elif isinstance(verdict, Greater):
+        elif isinstance(verdict, Positive):
             assert x.slope_approx(24) > y.slope_approx(24)
         else:
             assert a == b
@@ -291,8 +289,8 @@ def test_slope_round_trip_tightens_with_depth():
         approx = from_rational(v.numerator, v.denominator)
         radius = from_rational(3, 2**k)
         budget = 1 << (k + 8)
-        assert isinstance(x.sub(approx).compare(radius, budget), Less)
-        assert isinstance(x.sub(approx).compare(radius.neg(), budget), Greater)
+        assert isinstance(x.sub(approx).sub(radius).sign_budget(budget), Negative)
+        assert isinstance(x.sub(approx).sub(radius.neg()).sign_budget(budget), Positive)
 
 
 def test_exact_slope_extraction():

@@ -9,7 +9,15 @@ Euclidean loop on them takes a step per degree, and its count grows with n.
 The window guard counts leaf evaluations while `equals_within` checks the
 same pair at windows 1,000 and 16,000: a pair whose exact slope decides the
 check evaluates nothing at either size.
+
+The slope guard records the size of every `ahom.isqrt` argument while
+powers of sqrt(2) up to 2^524288 are built and summed: a rational slope is
+its own line, so no coefficient is squared under `isqrt` at any size. All
+sizes take milliseconds; one isqrt of the squared 2^524288 alone takes about
+half a second, which the time bound catches wherever the root is taken.
 """
+
+import time
 
 import pytest
 
@@ -78,3 +86,17 @@ def test_a_decided_window_check_does_not_grow_with_the_window(leaf_evaluations):
         assert work(f, g, 1000) == work(f, g, 16000), (str(f.rep), str(g.rep))
     # The count sees a window that is evaluated.
     assert work(*undecided, 16000) >= 15 * work(*undecided, 1000) > 0
+
+
+def test_a_slope_coefficient_is_never_squared_under_isqrt(monkeypatch):
+    bits = []
+    isqrt = ahom.isqrt
+    monkeypatch.setattr(ahom, "isqrt", lambda n: bits.append(n.bit_length()) or isqrt(n))
+    start = time.perf_counter()
+    for j in (10, 15, 20):
+        x = from_sqrt_int(2)
+        for _ in range(j):
+            x = x.mul(x)  # sqrt(2)^(2^j), a rational slope from j = 1 on
+        x.add(from_sqrt_int(8)), x.add(x), x.sub(x)
+        assert bits and max(bits) <= 64, (j, max(bits))
+    assert time.perf_counter() - start < 0.1
