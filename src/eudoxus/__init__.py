@@ -14,8 +14,8 @@ module imports nothing, and every command loads it, so the record base is here.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "ahom": "AlmostHom BoundReport CertificateError Compose FloorLinear FloorSqrt IntScale"
-    " Invert Neg RuleSyntaxError Sum discrepancy format_rule parse_rule verify_bound",
+    "ahom": "AlmostHom BoundReport CertificateError Compose FloorLinear FloorSqrt Invert"
+    " Neg RuleSyntaxError Sum discrepancy format_rule parse_rule verify_bound",
     "calculus": "RatFunction SubstitutionPole adequal derivative_at extend",
     "hyper": "DivisionByZeroGerm GeneralRescaling HyperClass HyperKind InfiniteElement"
     " Order PiecewiseRescaling PoleAtIndex RationalSlopeGerm classify constant_rescaling"

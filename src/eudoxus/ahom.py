@@ -4,18 +4,19 @@ An almost homomorphism is a total map f: Z -> Z whose discrepancy
 
     d_f(p, q) = f(p + q) - f(p) - f(q)
 
-has finite range. Every value here is a node of a closed rule catalogue and
-carries a certified integer bound C with |d_f(p, q)| <= C for all p, q. The
-catalogue keeps evaluation total, deterministic and serializable. A node sets
-its bound, direction, exact slope and hash when built, from its children's,
-so downstream error estimates are certificates rather than hopes, and a read
-costs O(1) at any depth. Equality, the rule text and `repr`, and the
-evaluation of a node over SHALLOW levels deep, run from explicit stacks, so
-depth is no limit. Bulk evaluation reads sums, negations and scales
-as one linear form over atoms keyed by value (`linear_form`), expanding each
-distinct node once. Exact slopes are `Slope` values, combined only through
-its methods: `Sum` and linear forms (`form_slope`) join like radicals with
-`Slope.plus`. No floats.
+has finite range. Every value here is a node of a closed catalogue of six
+rule kinds (lines, roots, sums, negations, compositions, order inverses; m*f
+is sums and a negation) and carries a certified integer bound C with
+|d_f(p, q)| <= C for all p, q. The catalogue keeps evaluation total,
+deterministic and serializable. A node sets its bound, direction, exact
+slope and hash when built, from its children's, so downstream error
+estimates are certificates rather than hopes, and a read costs O(1) at any
+depth. Equality, the rule text and `repr`, and the evaluation of a node over
+SHALLOW levels deep, run from explicit stacks, so depth is no limit. Bulk
+evaluation reads sums and negations as one linear form over atoms keyed by
+value (`linear_form`), expanding each distinct node once. Exact slopes are
+`Slope` values, combined only through its methods: `Sum` and linear forms
+(`form_slope`) join like radicals with `Slope.plus`. No floats.
 
 Concurrency: nodes are immutable after construction. The per-node memo table
 only caches values of a pure function, so concurrent use from several threads
@@ -86,20 +87,19 @@ class Slope(namedtuple("Slope", "q k")):
         return self.q * self.q * self.k > bound * bound
 
     def rep(self) -> AlmostHom:
-        """The canonical node of this slope, of depth <= 2. A rational slope
-        is its own line. Any other is keyed by the reduced fraction N/D =
-        q^2*k, which needs no factoring: the line of slope sqrt(N/D) when N/D
-        is a rational square, else sqrt(N) when D = 1 and sqrt(N*D) composed
-        with the line of slope 1/D when D > 1, these two negated when q < 0.
+        """The canonical node of this slope, of depth <= 2. A rational slope,
+        q = 0 or k a perfect square, is its own line. Any other is keyed by
+        the reduced fraction N/D = q^2*k, which needs no factoring: sqrt(N)
+        when D = 1 and sqrt(N*D) composed with the line of slope 1/D when
+        D > 1, these two negated when q < 0.
         """
         q, k = self
-        if k == 1:
-            return FloorLinear(q.numerator, q.denominator)
+        rk = isqrt(k)
+        if not q or rk * rk == k:
+            r = q * rk
+            return FloorLinear(r.numerator, r.denominator)
         r = q * q * k
         n, d = r.numerator, r.denominator
-        rn, rd = isqrt(n), isqrt(d)
-        if rn * rn == n and rd * rd == d:
-            return FloorLinear(rn if q >= 0 else -rn, rd)
         root = FloorSqrt(n) if d == 1 else Compose(FloorLinear(1, d), FloorSqrt(n * d))
         return Neg(root) if q < 0 else root
 
@@ -269,29 +269,6 @@ class Neg(AlmostHom):
         return ((self.inner, a),)
 
 
-class IntScale(AlmostHom):
-    """Pointwise integer multiple m*f; |d| scales by |m|."""
-
-    m: int
-    inner: AlmostHom
-
-    def __post_init__(self):
-        m, f = self.m, self.inner
-        d, s = f.direction, f.slope
-        self._facts(
-            bound=max(1, abs(m) * f.bound),
-            depth=f.depth + 1,
-            direction=0 if m == 0 else None if d is None else d if m > 0 else -d,
-            slope=s and s.scaled(m),
-        )
-
-    def _raw(self, a: int) -> int:
-        return self.m * self.inner.eval(a)
-
-    def _parts(self, a: int) -> tuple:
-        return ((self.inner, a),)
-
-
 class Compose(AlmostHom):
     """Composition outer(inner(a)).
 
@@ -455,7 +432,7 @@ def _eval_flat(f: AlmostHom, a: int) -> int:
 def linear_form(f: AlmostHom) -> dict:
     """f as {key: [atom, c]}: f = sum of c*atom at every point, each c != 0.
 
-    Sum, Neg and IntScale nodes pass their coefficient on to their children.
+    Sum and Neg nodes pass their coefficient, Neg negated, to their children.
     They are expanded from a heap deepest first, with their coefficients
     merged by identity: a parent is deeper than its children, so each
     distinct node is expanded once, after all of its parents, and a tree
@@ -467,7 +444,7 @@ def linear_form(f: AlmostHom) -> dict:
     parts = ((f, 1),)
     while True:
         for g, c in parts:
-            if isinstance(g, (Sum, Neg, IntScale)):
+            if isinstance(g, (Sum, Neg)):
                 key = id(g)
                 if key not in pending:
                     pending[key] = 0
@@ -484,10 +461,8 @@ def linear_form(f: AlmostHom) -> dict:
         c = pending.pop(key)
         if isinstance(g, Sum):
             parts = (g.left, c), (g.right, c)
-        elif isinstance(g, Neg):
-            parts = ((g.inner, -c),)
         else:
-            parts = ((g.inner, g.m * c),)  # a zero coefficient cancels above
+            parts = ((g.inner, -c),)
 
 
 def form_slope(form: dict):
@@ -566,8 +541,8 @@ def verify_bound(f: AlmostHom, window: int) -> BoundReport:
 
 # --- canonical text form ---------------------------------------------------
 #
-# linear(p/q) | sqrt(k) | sum(A,B) | neg(A) | scale(m,A) | compose(A,B)
-# | invert(A,n) -- no whitespace; round-trips exactly. The arguments are the
+# linear(p/q) | sqrt(k) | sum(A,B) | neg(A) | compose(A,B) | invert(A,n)
+# -- no whitespace; round-trips exactly. The arguments are the
 # node's fields in declaration order, `/`-separated for `linear`
 # and `,`-separated otherwise: an `int` field is an integer (annotations are
 # strings in this module), any other field a nested rule. Both directions
@@ -578,7 +553,6 @@ _RULE_CLASSES = {
     "sqrt": FloorSqrt,
     "sum": Sum,
     "neg": Neg,
-    "scale": IntScale,
     "compose": Compose,
     "invert": Invert,
 }

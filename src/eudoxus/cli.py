@@ -331,7 +331,7 @@ def cmd_lup_check(args, cfg: Config):
 
 def _suite_kernel(rng):
     from . import ahom
-    from .ahom import Compose, FloorLinear, FloorSqrt, IntScale, Neg, Sum
+    from .ahom import Compose, FloorLinear, FloorSqrt, Neg, Sum
 
     nodes = [
         FloorLinear(3, 7),
@@ -340,7 +340,7 @@ def _suite_kernel(rng):
         FloorSqrt(10),
         Sum(FloorLinear(1, 2), FloorSqrt(3)),
         Neg(FloorSqrt(5)),
-        IntScale(-4, FloorLinear(2, 3)),
+        Compose(FloorLinear(-4, 1), FloorLinear(2, 3)),
         Compose(FloorSqrt(2), FloorSqrt(2)),
         Compose(FloorLinear(5, 3), FloorSqrt(7)),
     ]

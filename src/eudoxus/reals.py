@@ -167,12 +167,13 @@ class EudoxusReal(Record):
         return 2 * self.rep.bound * 10 ** (digits + 2)
 
     def to_decimal(self, digits: int) -> str:
-        """Signed decimal string within 10^-digits of the represented real."""
+        """Signed decimal string within 10^-digits of the represented real;
+        rep(n) is read from rep's linear form, so cancelled terms cost nothing."""
         if digits < 1:
             raise ValueError("digits must be positive")
         n = self.eval_index(digits)
-        v = Fraction(self.rep.eval(n), n)
-        return decimal_of_fraction(v, digits)
+        v = sum(c * g.eval(n) for g, c in ahom.linear_form(self.rep).values())
+        return decimal_of_fraction(Fraction(v, n), digits)
 
 
 def from_rational(p: int, q: int) -> EudoxusReal:

@@ -320,14 +320,12 @@ def squarefree_slope(f):
         return normal(Fraction(f.p, f.q), 1)
     if kind is ahom.FloorSqrt:
         return normal(Fraction(1 if f.k else 0), f.k)
-    if kind in (ahom.Neg, ahom.IntScale, ahom.Invert):
+    if kind in (ahom.Neg, ahom.Invert):
         s = squarefree_slope(f.inner)
         if s is None or (kind is ahom.Invert and s[0] == 0):
             return None
         if kind is ahom.Neg:
             return -s[0], s[1]
-        if kind is ahom.IntScale:
-            return normal(f.m * s[0], s[1])
         return 1 / (s[0] * s[1]), s[1]
     if kind is ahom.Sum:
         a, b = squarefree_slope(f.left), squarefree_slope(f.right)
@@ -364,8 +362,6 @@ def tree_bound(f) -> int:
         return tree_bound(f.left) + tree_bound(f.right)
     if kind is ahom.Neg:
         return tree_bound(f.inner)
-    if kind is ahom.IntScale:
-        return max(1, abs(f.m) * tree_bound(f.inner))
     if kind is ahom.Compose:
         c, g = tree_bound(f.inner), f.outer
         ends = abs(g.eval(c)), abs(g.eval(-c))
@@ -399,11 +395,6 @@ def tree_direction(f):
     if kind is ahom.Neg:
         d = tree_direction(f.inner)
         return None if d is None else -d
-    if kind is ahom.IntScale:
-        if f.m == 0:
-            return 0
-        d = tree_direction(f.inner)
-        return None if d is None else (d if f.m > 0 else -d)
     if kind is ahom.Compose:
         a, b = tree_direction(f.outer), tree_direction(f.inner)
         if a == 0 or b == 0:
@@ -428,9 +419,6 @@ def tree_slope(f):
     if kind is ahom.Neg:
         s = tree_slope(f.inner)
         return None if s is None else (-s[0], s[1])
-    if kind is ahom.IntScale:
-        s = tree_slope(f.inner)
-        return None if s is None else (f.m * s[0], s[1])
     if kind is ahom.Sum:
         a, b = tree_slope(f.left), tree_slope(f.right)
         if a is None or b is None:
@@ -483,8 +471,8 @@ def window_equal(f, g, window: int) -> bool:
 
 
 def path_linear_form(f) -> dict:
-    """`ahom.linear_form` by expanding every path: each Sum, Neg and IntScale
-    is walked once per path that reaches it, so a node shared by several
+    """`ahom.linear_form` by expanding every path: each Sum and Neg is
+    walked once per path that reaches it, so a node shared by several
     parents is expanded once for each of them."""
     from eudoxus import ahom
 
@@ -496,11 +484,27 @@ def path_linear_form(f) -> dict:
             todo += (g.left, c), (g.right, c)
         elif isinstance(g, ahom.Neg):
             todo.append((g.inner, -c))
-        elif isinstance(g, ahom.IntScale):
-            todo.append((g.inner, g.m * c))
         else:
             term = form.setdefault(g, [g, 0])
             term[1] += c
             if not term[1]:
                 del form[g]
     return form
+
+
+def int_multiple(m: int, f):
+    """m*f as a rule tree: the binary doublings f, f+f, ... summed by `Sum`,
+    negated once when m < 0, so its bound is |m|*C_f and its slope m*slope(f);
+    m = 0 gives f - f. Built from the library's nodes, not an oracle."""
+    from eudoxus.ahom import Neg, Sum
+
+    if m == 0:
+        return Sum(f, Neg(f))
+    total, power, n = None, f, abs(m)
+    while True:
+        if n & 1:
+            total = power if total is None else Sum(total, power)
+        n >>= 1
+        if not n:
+            return Neg(total) if m < 0 else total
+        power = Sum(power, power)

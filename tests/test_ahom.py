@@ -16,7 +16,6 @@ from eudoxus.ahom import (
     Compose,
     FloorLinear,
     FloorSqrt,
-    IntScale,
     Invert,
     Neg,
     RuleSyntaxError,
@@ -33,6 +32,7 @@ from eudoxus.reals import EudoxusReal, UndecidedSign, certified_equal
 
 from oracles import (
     bisect_isqrt,
+    int_multiple,
     invert_bound,
     least_reaching,
     path_linear_form,
@@ -74,7 +74,7 @@ def test_eval_range_agrees_with_pointwise():
         FloorLinear(-7, 3),
         FloorSqrt(5),
         Sum(FloorSqrt(2), Neg(FloorLinear(1, 3))),
-        IntScale(-3, FloorSqrt(7)),
+        int_multiple(-3, FloorSqrt(7)),
         Compose(FloorLinear(2, 3), FloorSqrt(2)),
     ]
     for f in nodes:
@@ -84,7 +84,8 @@ def test_eval_range_agrees_with_pointwise():
 
 def test_linear_form_merges_like_leaves_and_cancels_opposite_terms():
     x, y = FloorSqrt(2), Compose(FloorSqrt(3), FloorLinear(1, 2))
-    f = Sum(Sum(x, IntScale(3, FloorSqrt(2))), Sum(Neg(y), IntScale(0, FloorLinear(5, 1))))
+    five = FloorLinear(5, 1)
+    f = Sum(Sum(x, int_multiple(3, FloorSqrt(2))), Sum(Neg(y), Sum(five, Neg(five))))
     assert linear_form(f) == {x: [x, 4], y: [y, -1]}
     assert linear_form(Sum(f, Neg(f))) == {}
     # Every atom is keyed by value: a Compose built apart cancels too.
@@ -93,8 +94,8 @@ def test_linear_form_merges_like_leaves_and_cancels_opposite_terms():
 
 
 def _shared_dag(rng, size):
-    """A rule DAG of `size` linear nodes, each a Sum, Neg or IntScale of
-    nodes built before it, so that most nodes have several parents; the
+    """A rule DAG of `size` linear nodes, each a Sum, Neg or integer multiple
+    of nodes built before it, so that most nodes have several parents; the
     atoms are a few leaves, a Compose, and equal leaves built apart."""
     nodes = [FloorSqrt(2), FloorSqrt(3), FloorLinear(1, 3), FloorLinear(-1, 3)]
     nodes += [FloorSqrt(2), Compose(FloorSqrt(2), FloorLinear(1, 2))]
@@ -106,7 +107,7 @@ def _shared_dag(rng, size):
         elif kind == 2:
             nodes.append(Neg(b))
         else:
-            nodes.append(IntScale(rng.randint(-3, 3), b))
+            nodes.append(int_multiple(rng.randint(-3, 3), b))
     return nodes[-1]
 
 
@@ -130,10 +131,10 @@ def test_linear_form_expands_each_shared_node_once():
 
 
 def _combination_tree(rng, depth, shared):
-    """A tree over all seven node kinds whose leaves are often one of the
+    """A tree over all six node kinds whose leaves are often one of the
     `shared` objects or an equal leaf built apart; some sums cancel a subtree
-    against its own negation, some scales are by 0, and `recip` makes the
-    Inverts."""
+    against its own negation, some integer multiples are by 0, and `recip`
+    makes the Inverts."""
     if depth == 0 or rng.random() < 0.2:
         leaf = rng.choice(shared)
         pick = rng.random()
@@ -151,12 +152,12 @@ def _combination_tree(rng, depth, shared):
     if kind == 1:
         return Neg(a)
     if kind == 2:
-        return IntScale(rng.randint(-3, 3), a)
+        return int_multiple(rng.randint(-3, 3), a)
     if kind == 3:
         return Compose(a, _combination_tree(rng, depth - 1, shared))
     if kind == 4:
         twin = rng.choice((a, parse_rule(format_rule(a))))
-        return Sum(a, rng.choice((Neg(twin), IntScale(-1, twin))))
+        return Sum(a, rng.choice((Neg(twin), Neg(Neg(Neg(twin))))))
     try:
         return EudoxusReal(a).recip(1 << 10).rep
     except UndecidedSign:
@@ -186,7 +187,7 @@ def test_eval_range_of_a_linear_form_agrees_with_pointwise(monkeypatch):
             scattered = big + [rng.randint(-40, 40) for _ in range(4)]
             for args in (range(-12, 13), range(-40, -30), scattered + scattered[::3]):
                 assert eval_range(f, args) == [f.eval(a) for a in args], format_rule(f)
-        assert kinds == {FloorLinear, FloorSqrt, Sum, Neg, IntScale, Compose, Invert}
+        assert kinds == {FloorLinear, FloorSqrt, Sum, Neg, Compose, Invert}
         assert cancelled >= 50
 
 
@@ -215,7 +216,7 @@ def test_equals_within_agrees_with_the_two_tree_window_check():
         g = rng.choice(
             (
                 parse_rule(format_rule(f)),
-                Sum(Neg(Neg(f)), IntScale(0, _combination_tree(rng, 2, shared))),
+                Sum(Neg(Neg(f)), int_multiple(0, _combination_tree(rng, 2, shared))),
                 Sum(f, FloorLinear(1, rng.choice((1, 40, 700)))),
                 _combination_tree(rng, rng.randint(0, 3), shared),
             )
@@ -278,7 +279,7 @@ def test_bound_propagation_rules():
     f, g = FloorLinear(1, 2), FloorLinear(1, 3)
     assert Sum(f, f).bound == 2
     assert Neg(f).bound == f.bound
-    assert IntScale(-4, g).bound == 4 * g.bound
+    assert int_multiple(-4, g).bound == 4 * g.bound
     c = Compose(FloorSqrt(2), FloorSqrt(2))
     peak = max(abs(FloorSqrt(2).eval(e)) for e in range(-2, 3))
     assert c.bound == 2 * 2 + peak
@@ -292,7 +293,7 @@ def test_certificate_soundness_random_constructions():
         nodes.append(FloorSqrt(rng.randint(0, 20)))
     nodes.append(Sum(nodes[0], nodes[1]))
     nodes.append(Neg(nodes[2]))
-    nodes.append(IntScale(rng.randint(-20, 20), nodes[3]))
+    nodes.append(int_multiple(rng.randint(-20, 20), nodes[3]))
     nodes.append(Compose(nodes[1], nodes[0]))
     nodes.append(Compose(nodes[0], nodes[1]))
     for f in nodes:
@@ -360,7 +361,7 @@ def test_compose_commutes_modulo_bounded():
         "sqrt(2)",
         "sum(linear(1/2),sqrt(3))",
         "neg(sqrt(5))",
-        "scale(-4,linear(2/3))",
+        "compose(linear(-4/1),linear(2/3))",
         "compose(sqrt(2),linear(1/3))",
     ],
 )
@@ -388,7 +389,8 @@ _READER_MESSAGES = [
     (parse_rule, "linear(1,2)", "expected '/'", 8),
     (parse_rule, "sum(sqrt(2)/sqrt(3))", "expected ','", 11),
     (parse_rule, "sqrt(n)", "expected integer", 5),
-    (parse_rule, "scale(-n,sqrt(2))", "expected integer", 7),
+    (parse_rule, "linear(-n/2)", "expected integer", 8),
+    (parse_rule, "scale(2,sqrt(2))", "unknown rule name 'scale'", 6),
     (parse_rule, "linear(1/2", "expected ')'", 10),
     (parse_rule, "sqrt(2)x", "trailing input after rule", 7),
     (parse_rule, "sqrt(" + "1" * 5000 + ")", "integer too long", 5),
@@ -458,7 +460,7 @@ _MONOTONE_INNER = [
     FloorLinear(3, 7),
     FloorLinear(41, 3),
     Sum(FloorSqrt(3), FloorLinear(1, 2)),
-    IntScale(2, FloorSqrt(5)),
+    int_multiple(2, FloorSqrt(5)),
     Neg(FloorLinear(-5, 4)),
     Compose(FloorSqrt(2), FloorLinear(2, 3)),
     Compose(FloorLinear(-1, 1), FloorLinear(-7, 5)),
@@ -494,14 +496,14 @@ def _random_tree(rng, depth):
         if rng.random() < 0.5:
             return FloorLinear(rng.randint(-6, 6), rng.randint(1, 5))
         return FloorSqrt(rng.randint(0, 12))
-    kind = rng.choice(("sum", "neg", "scale", "compose", "invert"))
+    kind = rng.choice(("sum", "neg", "multiple", "compose", "invert"))
     a = _random_tree(rng, depth - 1)
     if kind == "sum":
         return Sum(a, _random_tree(rng, depth - 1))
     if kind == "neg":
         return Neg(a)
-    if kind == "scale":
-        return IntScale(rng.randint(-3, 3), a)
+    if kind == "multiple":
+        return int_multiple(rng.randint(-3, 3), a)
     if kind == "compose":
         return Compose(a, _random_tree(rng, depth - 1))
     return _witnessed(a) or _witnessed(Neg(a)) or a
@@ -618,7 +620,7 @@ def test_equality_walks_shared_subtrees_once():
 
 def test_compose_endpoint_peak_equals_full_scan():
     rng = random.Random(2003)
-    inners = [FloorSqrt(2), IntScale(7, FloorSqrt(3)), _witnessed(FloorLinear(1, 9))]
+    inners = [FloorSqrt(2), int_multiple(7, FloorSqrt(3)), _witnessed(FloorLinear(1, 9))]
     checked = 0
     while checked < 60:
         g = _random_tree(rng, 2)
@@ -633,7 +635,7 @@ def test_compose_endpoint_peak_equals_full_scan():
 
 def test_non_monotone_outer_bound_reads_two_values():
     g = Sum(FloorSqrt(3), Neg(FloorSqrt(2)))
-    inner = IntScale(500, FloorSqrt(2))
+    inner = int_multiple(500, FloorSqrt(2))
     assert g.direction is None and inner.bound >= 1000
     Compose(g, inner).bound
     # The slope bound reads g at +-C_inner only; a scan of every
@@ -644,10 +646,10 @@ def test_non_monotone_outer_bound_reads_two_values():
 def test_non_monotone_outer_slope_bound_audits():
     rng = random.Random(2012)
     inners = [
-        IntScale(50, FloorSqrt(2)),
-        IntScale(-120, FloorLinear(3, 4)),
-        IntScale(40, Sum(FloorSqrt(3), Neg(FloorSqrt(2)))),
-        _witnessed(IntScale(100, FloorLinear(1, 50))),
+        int_multiple(50, FloorSqrt(2)),
+        int_multiple(-120, FloorLinear(3, 4)),
+        int_multiple(40, Sum(FloorSqrt(3), Neg(FloorSqrt(2)))),
+        _witnessed(int_multiple(100, FloorLinear(1, 50))),
     ]
     assert all(inner.bound >= 100 for inner in inners)
     checked = 0
@@ -757,3 +759,5 @@ def test_a_rational_slope_is_its_own_line():
         line = Slope(q, 1).rep()
         assert line == FloorLinear(q.numerator, q.denominator)
         assert line == Slope(q / m, m * m).rep(), (q, m)
+        # Zero times any root is the zero line, of bound 1, not sqrt(0).
+        assert Slope(Fraction(0), m * m + 1).rep() == FloorLinear(0, 1), m

@@ -13,7 +13,6 @@ from eudoxus.ahom import (
     Compose,
     FloorLinear,
     FloorSqrt,
-    IntScale,
     Invert,
     Neg,
     Sum,
@@ -35,6 +34,7 @@ from eudoxus.reals import (
 
 from oracles import (
     bisect_isqrt,
+    int_multiple,
     long_division_decimal,
     sqrt_decimal_truncated,
     squarefree_slope,
@@ -351,7 +351,7 @@ _RADICANDS = (0, 1, 2, 3, 4, 6, 8, 9, 12, 18, 27, 50)
 
 
 def _slope_tree(rng: random.Random, depth: int):
-    """A rule tree of sums, products, negations, scales and inverses over
+    """A rule tree of sums, products, negations, multiples and inverses over
     rationals and roots of small radicands, square and not."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.7:
@@ -364,7 +364,7 @@ def _slope_tree(rng: random.Random, depth: int):
     if pick == 2:
         return Neg(x)
     if pick == 3:
-        return IntScale(rng.randint(-3, 3), x)
+        return int_multiple(rng.randint(-3, 3), x)
     try:
         return EudoxusReal(x).recip(1 << 10).rep
     except UndecidedSign:
@@ -403,7 +403,7 @@ def test_node_facts_match_the_recursive_rules():
             tree_slope(f),
         ), f
         kinds.add(type(f))
-    assert kinds == {FloorLinear, FloorSqrt, Sum, Neg, IntScale, Compose, Invert}
+    assert kinds == {FloorLinear, FloorSqrt, Sum, Neg, Compose, Invert}
 
 
 def test_certified_equal_answers_on_a_long_chain_of_sums():

@@ -15,6 +15,11 @@ powers of sqrt(2) up to 2^524288 are built and summed: a rational slope is
 its own line, so no coefficient is squared under `isqrt` at any size. All
 sizes take milliseconds; one isqrt of the squared 2^524288 alone takes about
 half a second, which the time bound catches wherever the root is taken.
+
+The cancellation guard reads 1 + x - x to ten digits, x = sqrt(2)^(2^j + 1)
+built twice apart, for j up to 18: the leaf of x has a radicand of 2^j + 1
+bits, yet no root of it is taken and the two terms that cancel are never
+evaluated, so the same one leaf is evaluated at every size.
 """
 
 import time
@@ -100,3 +105,26 @@ def test_a_slope_coefficient_is_never_squared_under_isqrt(monkeypatch):
         x.add(from_sqrt_int(8)), x.add(x), x.sub(x)
         assert bits and max(bits) <= 64, (j, max(bits))
     assert time.perf_counter() - start < 0.1
+
+
+def test_terms_that_cancel_are_neither_rooted_nor_evaluated(monkeypatch, leaf_evaluations):
+    bits = []
+    isqrt = ahom.isqrt
+    monkeypatch.setattr(ahom, "isqrt", lambda n: bits.append(n.bit_length()) or isqrt(n))
+
+    def odd_power(j):
+        x = from_sqrt_int(2)
+        for _ in range(j):
+            x = x.mul(x)
+        return x.mul(from_sqrt_int(2))  # sqrt(2)^(2^j + 1), an irrational slope
+
+    counts = []
+    start = time.perf_counter()
+    for j in (10, 14, 18):
+        del leaf_evaluations[:]
+        x, twin = odd_power(j), odd_power(j)
+        assert x.sub(twin).add(from_rational(1, 1)).to_decimal(10) == "1.0000000000"
+        assert bits and max(bits) <= 64, (j, max(bits))
+        counts.append(sum(leaf_evaluations))
+    assert counts == [1, 1, 1]  # the line 1 alone
+    assert time.perf_counter() - start < 0.5
