@@ -57,14 +57,18 @@ class Slope(namedtuple("Slope", "q k")):
     """
 
     __slots__ = ()
+    _SQUARES = [(m, {i * i % m for i in range(m)}) for m in (64, 63, 65, 11)]  # squares mod m
 
     def plus(self, other: Slope):
         """The slope of a sum; None for unlike radicals: both nonzero, ka*kb not a square."""
         (qa, ka), (qb, kb) = self, other
         if qa == 0 or qb == 0:
             return other if qa == 0 else self
-        r = ka if ka == kb else isqrt(ka * kb)  # qb*sqrt(kb) = (qb*r/ka)*sqrt(ka) if r*r == ka*kb
-        return Slope(qa + qb * r / ka, ka) if r * r == ka * kb else None
+        n = ka * kb  # a residue no square has rejects n before its root is taken
+        if any(n % m not in squares for m, squares in self._SQUARES):
+            return None
+        r = ka if ka == kb else isqrt(n)  # qb*sqrt(kb) = (qb*r/ka)*sqrt(ka) if r*r == ka*kb
+        return Slope(qa + qb * r / ka, ka) if r * r == n else None
 
     def scaled(self, m) -> Slope:
         return Slope(m * self.q, self.k)

@@ -102,9 +102,9 @@ def _read_text(path: str, what: str) -> str:
 
 
 # Two tables for `expr.fold`, one per value tier: `_real_ops` folds a real
-# into rule trees, `_quotient_ops(view)` folds anything else into the given
-# view of `polyq.RatFun`. The quotient table reaches `hyper` through the
-# module at call time, so wrappers installed on its functions see every call.
+# into a Fraction or a rule tree, `_quotient_ops(view)` folds anything else
+# into the given view of `polyq.RatFun`. The quotient table reaches `hyper`
+# through the module at call time, so wrappers on its functions see every call.
 
 
 def _real_power(base, k: int):
@@ -116,7 +116,7 @@ def _real_power(base, k: int):
     if k == 0:
         from . import reals
 
-        return reals.one()
+        return reals.from_rational(1, 1)
     if k == 1:
         return base
     half = _real_power(base, k // 2)
@@ -124,30 +124,42 @@ def _real_power(base, k: int):
     return base.mul(square) if k % 2 else square
 
 
+def _real(value):
+    """A value of the real fold as a real: a Fraction becomes its line."""
+    from . import reals
+
+    if isinstance(value, reals.EudoxusReal):
+        return value
+    return reals.from_rational(value.numerator, value.denominator)
+
+
 def _real_ops(budget: int) -> tuple[dict, dict]:
-    """The real table, and the child order to fold it in."""
+    """The real table, and the child order to fold it in. A rational
+    subexpression, of integer literals and roots of perfect squares, folds to
+    an exact Fraction, which becomes a real only where it meets one."""
+    from fractions import Fraction
+    from math import isqrt
+
     from . import expr, reals
 
-    def quotient(node, right, left):
-        try:
-            return left.mul(right.recip(budget))
-        except reals.UndecidedSign:
-            # Asked only after a failed scan, so a division that succeeds
-            # pays nothing for it.
-            if _is_exact_zero(node.right):
-                raise ZeroDivisionError("division by zero") from None
-            raise
+    def quotient(n, right, left):
+        if type(right) is Fraction and not right:
+            raise ZeroDivisionError("division by zero")
+        if type(left) is type(right) is Fraction:
+            return left / right
+        return _real(left).mul(_real(right).recip(budget))
 
     table = {
-        expr.IntLit: lambda n: reals.from_rational(n.value, 1),
-        expr.RatLit: lambda n: reals.from_rational(*n.value.as_integer_ratio()),
-        expr.SqrtInt: lambda n: reals.from_sqrt_int(n.k),
-        expr.Add: lambda n, a, b: a.add(b),
-        expr.Sub: lambda n, a, b: a.sub(b),
-        expr.Mul: lambda n, a, b: a.mul(b),
+        expr.IntLit: lambda n: Fraction(n.value),
+        expr.SqrtInt: lambda n: (
+            Fraction(r) if (r := isqrt(n.k)) * r == n.k else reals.from_sqrt_int(n.k)
+        ),
+        expr.Add: lambda n, a, b: a + b if type(a) is type(b) is Fraction else _real(a) + _real(b),
+        expr.Sub: lambda n, a, b: a - b if type(a) is type(b) is Fraction else _real(a) - _real(b),
+        expr.Mul: lambda n, a, b: a * b if type(a) is type(b) is Fraction else _real(a) * _real(b),
         # Children arrive in the order below: the divisor first.
         expr.Div: quotient,
-        expr.Pow: lambda n, base: _real_power(base, n.exponent),
+        expr.Pow: lambda n, b: (pow if type(b) is Fraction else _real_power)(b, n.exponent),
         expr.St: lambda n, x: x,  # st is the identity on embedded reals
     }
     # The divisor is evaluated before the dividend, so when both sides hold a
@@ -162,7 +174,6 @@ def _quotient_ops(view) -> dict:
 
     return {
         expr.IntLit: lambda n: view.constant(n.value),
-        expr.RatLit: lambda n: view.constant(n.value),
         expr.SqrtInt: lambda n: view.constant(expr.exact_int_sqrt(n.k)),
         expr.Dx: lambda n: hyper.dx(),
         expr.Omega: lambda n: hyper.omega(),
@@ -177,17 +188,6 @@ def _quotient_ops(view) -> dict:
     }
 
 
-def _is_exact_zero(node) -> bool:
-    from . import expr, polyq
-
-    # A real expression whose square roots are all of perfect squares is a
-    # rational constant.
-    try:
-        return expr.fold(node, _quotient_ops(polyq.RatFun)).is_zero()
-    except expr.SortError:  # an irrational sqrt(k) has no exact value
-        return False
-
-
 # -- command handlers ----------------------------------------------------------
 #
 # Each handler returns (result, text lines, budget used); `main` prints them.
@@ -199,7 +199,7 @@ def cmd_digits(args, cfg: Config):
     precision = cfg.default_precision
     tree = expr.parse(args.expr)
     expr.typecheck(tree, expr.Context.REAL)
-    value = expr.fold(tree, *_real_ops(cfg.budget))
+    value = _real(expr.fold(tree, *_real_ops(cfg.budget)))
     rendered = value.to_decimal(precision)
     return {"value": rendered, "precision": precision}, [rendered], value.eval_index(precision)
 

@@ -9,12 +9,11 @@ Grammar (normative for the command line):
             | 'st' '(' expr ')' | 'classify' '(' expr ')' | '(' expr ')'
 
 Parsing is one pass of recursive descent over the matches of one regex,
-each match a token. A quotient of two integer literals is folded to a
-rational literal as the tree is built, which is the only constant folding
-performed. Power exponents are integer literals because only integer powers
-are exact in both value tiers. Nesting of '(', 'st(' and 'classify(' is
-capped at MAX_NESTING levels, and a literal longer than the interpreter
-converts from text is a syntax error.
+each match a token, and folds no constants: `22/7` is a quotient of two
+integer literals, which each value tier evaluates exactly. Power exponents
+are integer literals because only integer powers are exact in both tiers.
+Nesting of '(', 'st(' and 'classify(' is capped at MAX_NESTING levels, and
+a literal longer than the interpreter converts from text is a syntax error.
 
 An expression is read in one of three contexts: REAL (a digits query over
 exact reals), HYPER (a query over hyperreal germs) and DERIVE (a derivative
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import enum
 import re
-from fractions import Fraction
 from math import isqrt
 
 from . import Record
@@ -61,10 +59,6 @@ class VarOutsideDerive(SortError):
 
 class IntLit(Record):
     value: int
-
-
-class RatLit(Record):
-    value: Fraction
 
 
 class SqrtInt(Record):
@@ -189,14 +183,7 @@ class _Parser:
         node = self.factor() if innermost else self.expr(level + 1)
         while (build := _OPERATORS[level].get(self.current[0])) is not None:
             self.advance()
-            right = self.factor() if innermost else self.expr(level + 1)
-            # A quotient of integer literals folds to a rational literal. A
-            # zero divisor is left unfolded so that evaluation reports it in
-            # the value tier where it occurs.
-            if build is Div and type(node) is type(right) is IntLit and right.value:
-                node = RatLit(Fraction(node.value, right.value))
-            else:
-                node = build(node, right)
+            node = build(node, self.factor() if innermost else self.expr(level + 1))
         return node
 
     def factor(self):
@@ -237,7 +224,7 @@ class _Parser:
 
 
 def parse(text: str):
-    """Parse an expression, folding integer quotients."""
+    """Parse an expression into its syntax tree."""
     parser = _Parser(text)
     node = parser.expr()
     if parser.current.lastgroup != "end":
@@ -366,7 +353,6 @@ def _power(n, base):
 
 _FORMAT = {
     IntLit: lambda n: (str(n.value), _PREC_ATOM),
-    RatLit: lambda n: (f"{n.value.numerator}/{n.value.denominator}", _PREC_MUL),
     SqrtInt: lambda n: (f"sqrt({n.k})", _PREC_ATOM),
     Dx: lambda n: ("dx", _PREC_ATOM),
     Omega: lambda n: ("omega", _PREC_ATOM),

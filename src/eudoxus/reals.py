@@ -186,10 +186,6 @@ def from_sqrt_int(k: int) -> EudoxusReal:
     return EudoxusReal(FloorSqrt(k))
 
 
-def one() -> EudoxusReal:
-    return from_rational(1, 1)
-
-
 _IDENTITY = FloorLinear(1, 1)
 
 

@@ -248,7 +248,7 @@ def first_sort_error(tree, ctx):
 
     def sort_of(n):
         kind = type(n)
-        if kind in (expr.IntLit, expr.RatLit):
+        if kind is expr.IntLit:
             return "Poly" if derive else "Real"
         if kind is expr.SqrtInt:
             if derive:

@@ -1,6 +1,8 @@
 import fcntl
 import json
+import operator
 import os
+import random
 import re
 import stat
 import time
@@ -93,9 +95,81 @@ def test_digits_perfect_square_root_divisors(text, code, out, err, capsys):
 
 
 def test_irrational_root_divisor_stays_undecided(capsys):
-    for text in ("1/(sqrt(3)*sqrt(3)-3)", "1/st(sqrt(3)*sqrt(3)-3)"):
+    # In the last, the divisor 2-2 is folded first, but the dividend's scan
+    # fails before the zero divisor is reached.
+    texts = ("1/(sqrt(3)*sqrt(3)-3)", "1/st(sqrt(3)*sqrt(3)-3)", "(1/(sqrt(3)*sqrt(3)-3))/(2-2)")
+    for text in texts:
         code, out, err = run_cli(["digits", text], capsys)
         assert (code, out) == (2, "") and err.startswith("budget exhausted"), text
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        # 1+2 is the one line of slope 3, of bound 1, not a sum of two lines.
+        (
+            ["digits", "1+2+sqrt(2)", "--json"],
+            '{"budget_used": 6000000000000, "command": "digits", "diagnostics": [], '
+            '"result": {"precision": 10, "value": "4.4142135624"}}\n',
+        ),
+        # An exact quotient needs no sign scan of the divisor 1/10^9.
+        (["digits", "1/(1/1000000000)"], "1000000000.0000000000\n"),
+        # The exact sum 201/200 rounds half up, not the sum of three lines.
+        (["digits", "1/7+6/7+1/200", "-p", "2"], "1.01\n"),
+    ],
+    ids=["sum-bound", "quotient", "rounding"],
+)
+def test_rational_subexpressions_fold_exactly(argv, out, capsys):
+    assert run_cli(argv, capsys) == (0, out, "")
+
+
+_OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _rational_expression(rng, depth):
+    """Seeded text over literals, roots of perfect squares, + - * /, small
+    powers, st and parentheses, with its exact value: None once a divisor
+    is zero."""
+    if depth == 0 or rng.random() < 0.2:
+        n = rng.randint(0, 12)
+        return (f"sqrt({n * n})", Fraction(n)) if rng.random() < 0.3 else (str(n), Fraction(n))
+    pick = rng.random()
+    text, value = _rational_expression(rng, depth - 1)
+    if pick < 0.15:
+        k = rng.randint(0, 3)
+        return f"({text})^{k}", None if value is None else value**k
+    if pick < 0.25:
+        return f"st({text})", value
+    op = rng.choice("+-*/")
+    right_text, right = _rational_expression(rng, depth - 1)
+    text = f"({text}){op}({right_text})"
+    if value is None or right is None or (op == "/" and right == 0):
+        return text, None
+    return text, _OPERATIONS[op](value, right)
+
+
+def test_rational_expressions_answer_as_their_reduced_quotient(capsys, monkeypatch):
+    # The whole envelope, budget_used included, is that of a/b: a rational
+    # expression folds to one exact Fraction, a single line at the root.
+    calls = []
+    plain = ahom.AlmostHom.eval
+    monkeypatch.setattr(ahom.AlmostHom, "eval", lambda f, a: calls.append(a) or plain(f, a))
+    rng = random.Random(3030)
+    zero_divisors = 0
+    for _ in range(200):
+        text, value = _rational_expression(rng, rng.randint(1, 5))
+        precision = str(rng.choice((1, 2, 5, 10, 30)))
+        del calls[:]
+        outcome = run_cli(["digits", text, "-p", precision, "--json"], capsys)
+        if value is None:
+            assert outcome == (3, "", "error: division by zero\n"), text
+            assert calls == [], text  # no real was built, let alone evaluated
+            zero_divisors += 1
+            continue
+        a, b = value.numerator, value.denominator
+        quotient = f"{a}/{b}" if a >= 0 else f"0-{-a}/{b}"  # the grammar has no unary minus
+        assert outcome == run_cli(["digits", quotient, "-p", precision, "--json"], capsys), text
+    assert 10 < zero_divisors < 100
 
 
 def test_parse_error_exits_1(capsys):
@@ -708,7 +782,7 @@ def test_power_certificates_no_looser_than_the_chain():
     bases = [sqrt(k) for k in (2, 3, 5, 6, 7, 10, 37)]
     bases += [sqrt(a).sub(sqrt(b)) for a, b in ((7, 2), (3, 2), (5, 3))]
     for base in bases:
-        chain = reals.one()
+        chain = reals.from_rational(1, 1)
         for e in range(41):
             power = _real_power(base, e)
             assert power.rep.bound <= chain.rep.bound, (str(base.rep), e)
@@ -770,7 +844,7 @@ def test_nested_invert_evaluates_the_innermost_node_less():
     leaf = reals.from_sqrt_int(2)
     x = leaf
     for _ in range(3):  # 1/(1/(1/sqrt(2))), built as `digits` builds it
-        x = reals.one().mul(x.recip(1 << 20))
+        x = reals.from_rational(1, 1).mul(x.recip(1 << 20))
     assert x.to_decimal(10) == "0.7071067812"
     # A linear scan from a bracket restarted at n = 1024 left 2,116 values.
     assert len(leaf.rep._memo) < 2116

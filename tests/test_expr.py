@@ -1,6 +1,5 @@
 import random
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -16,7 +15,6 @@ from eudoxus.expr import (
     Mul,
     Omega,
     Pow,
-    RatLit,
     SortError,
     SqrtInt,
     St,
@@ -50,11 +48,12 @@ def test_parse_error_reports_expected_set():
     assert "')'" in exc.value.expected
 
 
-def test_constant_folding_of_rational_literals():
-    assert parse("22/7") == RatLit(Fraction(22, 7))
+def test_quotients_of_integer_literals_are_not_folded():
+    # Each value tier evaluates a quotient of literals exactly.
+    assert parse("22/7") == Div(IntLit(22), IntLit(7))
     assert parse("22/7^2") == Div(IntLit(22), Pow(IntLit(7), 2))
-    assert parse("1/0") == Div(IntLit(1), IntLit(0))  # left for the evaluator
-    assert parse("4/2") == RatLit(Fraction(2))
+    assert parse("1/0") == Div(IntLit(1), IntLit(0))
+    assert parse("4/2") == Div(IntLit(4), IntLit(2))
 
 
 def test_typecheck_examples():
@@ -169,7 +168,7 @@ def _gen_checked(rng: random.Random, depth: int, leaves):
 
 _LEAVES = (
     lambda rng: IntLit(rng.randint(0, 9)),
-    lambda rng: RatLit(Fraction(rng.randint(1, 9), rng.randint(2, 9))),
+    lambda rng: Div(IntLit(rng.randint(1, 9)), IntLit(rng.randint(2, 9))),
     lambda rng: SqrtInt(rng.randint(0, 30)),  # squares and non-squares
     lambda rng: Dx(),
     lambda rng: Omega(),
@@ -209,7 +208,7 @@ def _gen(rng: random.Random, depth: int):
         return rng.choice(
             (
                 IntLit(rng.randint(0, 99)),
-                RatLit(Fraction(rng.randint(1, 99), rng.randint(1, 99))),
+                Div(IntLit(rng.randint(1, 99)), IntLit(rng.randint(1, 99))),
                 SqrtInt(rng.randint(0, 30)),
                 Dx(),
                 Omega(),

@@ -535,7 +535,7 @@ def test_products_of_known_slopes_get_a_shallow_representative():
         assert certified_equal(p, composed) is True
         assert window_equal(p.rep, composed.rep, 256), (x.rep, y.rep)
         assert x.mul(y) == y.mul(x)
-        one = reals.one()
+        one = reals.from_rational(1, 1)
         assert one.mul(x) is x and x.mul(one) is x
     assert shallow > 250
 

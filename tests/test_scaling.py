@@ -16,10 +16,10 @@ its own line, so no coefficient is squared under `isqrt` at any size. All
 sizes take milliseconds; one isqrt of the squared 2^524288 alone takes about
 half a second, which the time bound catches wherever the root is taken.
 
-The cancellation guard reads 1 + x - x to ten digits, x = sqrt(2)^(2^j + 1)
-built twice apart, for j up to 18: the leaf of x has a radicand of 2^j + 1
-bits, yet no root of it is taken and the two terms that cancel are never
-evaluated, so the same one leaf is evaluated at every size.
+The cancellation guard reads x - x + 1 and x + 1 - x to ten digits,
+x = sqrt(2)^(2^j + 1) built twice apart, for j up to 18: the leaf of x has a
+radicand of 2^j + 1 bits, yet no root of it is taken and the two terms that
+cancel are never evaluated, so the same one leaf is evaluated at every size.
 """
 
 import time
@@ -118,13 +118,20 @@ def test_terms_that_cancel_are_neither_rooted_nor_evaluated(monkeypatch, leaf_ev
             x = x.mul(x)
         return x.mul(from_sqrt_int(2))  # sqrt(2)^(2^j + 1), an irrational slope
 
-    counts = []
-    start = time.perf_counter()
-    for j in (10, 14, 18):
-        del leaf_evaluations[:]
-        x, twin = odd_power(j), odd_power(j)
-        assert x.sub(twin).add(from_rational(1, 1)).to_decimal(10) == "1.0000000000"
-        assert bits and max(bits) <= 64, (j, max(bits))
-        counts.append(sum(leaf_evaluations))
-    assert counts == [1, 1, 1]  # the line 1 alone
-    assert time.perf_counter() - start < 0.5
+    orders = (
+        lambda x, twin, one: x.sub(twin).add(one),
+        # x + 1 meets unlike radicals: a residue that no square has rejects
+        # the product of the radicands before its root is taken.
+        lambda x, twin, one: x.add(one).sub(twin),
+    )
+    for order in orders:
+        counts = []
+        start = time.perf_counter()
+        for j in (10, 14, 18):
+            del leaf_evaluations[:]
+            x, twin = odd_power(j), odd_power(j)
+            assert order(x, twin, from_rational(1, 1)).to_decimal(10) == "1.0000000000"
+            assert bits and max(bits) <= 64, (j, max(bits))
+            counts.append(sum(leaf_evaluations))
+        assert counts == [1, 1, 1]  # the line 1 alone
+        assert time.perf_counter() - start < 0.5

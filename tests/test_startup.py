@@ -52,12 +52,13 @@ def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def _loaded_by(argv: list) -> set:
-    """The eudoxus submodules a fresh interpreter holds after `main(argv)`."""
+def _loaded_by(argv: list, exit_code: int = 0) -> set:
+    """The eudoxus submodules a fresh interpreter holds after `main(argv)`
+    returns `exit_code`."""
     code = (
         "import json, sys\n"
         "from eudoxus import cli\n"
-        f"cli.main({argv!r})\n"
+        f"assert cli.main({argv!r}) == {exit_code}\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('eudoxus.'))))"
     )
     proc = _fresh(code)
@@ -105,8 +106,18 @@ def test_ultra_query_loads_only_the_set_layer(tmp_path):
     assert not loaded & {"expr", "ahom", "reals", "polyq", "hyper", "calculus", "lup"}
 
 
-def test_digits_loads_only_the_real_layer():
-    loaded = _loaded_by(["digits", "1/sqrt(2) + 22/7", "-p", "20"])
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["digits", "1/sqrt(2) + 22/7", "-p", "20"], 0),
+        # A rational divisor is folded exactly, so its zero needs no germ tier.
+        (["digits", "1/(sqrt(4)-2)"], 3),
+        (["digits", "1/(sqrt(3)*sqrt(3)-3)", "--budget", "64"], 2),
+    ],
+    ids=["answer", "zero-divisor", "budget-exit"],
+)
+def test_digits_loads_only_the_real_layer(argv, exit_code):
+    loaded = _loaded_by(argv, exit_code)
     assert loaded >= {"cli", "expr", "reals"}
     assert not loaded & {"hyper", "calculus", "lup", "indexset", "ufsim"}
 
