@@ -92,7 +92,7 @@ def _set_config_key(cfg: Config, key: str, value: str, where: str) -> None:
 
 def _read_text(path: str, what: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from None
@@ -234,11 +234,44 @@ def cmd_derive(args, cfg: Config):
 
 
 def _load_state(path: str, budget: int):
-    from . import ufsim
+    """Return (text, state): the state file holds the lines of `text` and then
+    those of `state.log`. A missing file is the fresh state.
+
+    The checkpoint `<path>.meet`, beside the symlink's target, stands in for
+    the replay when it is the file's text byte for byte plus one whole last
+    line, and that line's widest meet period is within `budget`. Then `text`
+    is the whole file and the state carries only the meet. Otherwise the file
+    is replayed, as `import_trace` checks it, and `text` is empty.
+    """
+    from . import indexset, ufsim
 
     if not os.path.exists(path):
-        return ufsim.fresh_state()
-    return ufsim.import_trace(_read_text(path, "state file"), budget=budget)
+        return "", ufsim.fresh_state()
+    text = _read_text(path, "state file")
+    # An unreadable checkpoint (ConfigError) or a bad last line is a miss.
+    with suppress(ValueError):
+        saved = _read_text(os.path.realpath(path) + ".meet", "checkpoint")
+        cut = saved.rfind("\n", 0, len(saved) - 1) + 1  # where the last line starts
+        if saved.endswith("\n") and cut == len(text) and saved.startswith(text):
+            widest, _, spec = saved[cut:-1].partition(" ")
+            if int(widest) <= budget:
+                meet = indexset.parse(spec)
+                return text, ufsim.FilterState((), meet, widest=int(widest))
+    return "", ufsim.import_trace(text, budget=budget)
+
+
+def _save_state(path: str, text: str, state) -> None:
+    """Replace the state file with `text`, then write its checkpoint: the text
+    and a line with the widest meet period and the meet of `state`. The
+    checkpoint is a cache and a torn or stale one only misses, so it is
+    written in place, unsynced, with the state file's permission bits."""
+    from . import indexset
+
+    _replace_file(path, text)
+    with suppress(OSError), open(path + ".meet", "w", encoding="utf-8") as fh:
+        shutil.copymode(path, path + ".meet")
+        fh.write(text)
+        fh.write(f"{state.widest} {indexset.format_set(state.meet)}\n")
 
 
 @contextmanager
@@ -285,9 +318,13 @@ def cmd_ultra_query(args, cfg: Config):
     # One lock per real file, and the rename lands on a symlink's target.
     path = os.path.realpath(cfg.state_path)
     with _locked(path):
-        state = _load_state(path, cfg.budget)
-        verdict, state = ufsim.query(state, s, budget=cfg.budget)
-        _replace_file(path, ufsim.export_trace(state))
+        text, state = _load_state(path, cfg.budget)
+        # A set the text holds is a repeat: its line is the answer, and the
+        # checkpointed file stays as it is.
+        verdict = ufsim.find_verdict(text, s)
+        if verdict is None:
+            verdict, state = ufsim.query(state, s, budget=cfg.budget)
+            _save_state(path, text + ufsim.export_trace(state), state)
     result = {"verdict": verdict.value, "set": indexset.format_set(s)}
     return result, [verdict.value], 0
 
@@ -296,7 +333,7 @@ def cmd_ultra_contains(args, cfg: Config):
     from . import indexset, ufsim
 
     s = indexset.parse(args.setspec)
-    state = _load_state(cfg.state_path, cfg.budget)
+    _, state = _load_state(cfg.state_path, cfg.budget)
     answer = ufsim.contains(state, s, budget=cfg.budget)
     result = {"containment": answer.value, "set": indexset.format_set(s)}
     return result, [answer.value], 0
@@ -305,7 +342,8 @@ def cmd_ultra_contains(args, cfg: Config):
 def cmd_ultra_trace(args, cfg: Config):
     from . import ufsim
 
-    lines = ufsim.export_trace(_load_state(cfg.state_path, cfg.budget)).splitlines()
+    text, state = _load_state(cfg.state_path, cfg.budget)
+    lines = (text + ufsim.export_trace(state)).splitlines()
     return {"entries": lines}, lines, 0
 
 

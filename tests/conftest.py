@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from eudoxus import polyq
+from eudoxus import indexset, polyq, ufsim
 
 
 @pytest.fixture
@@ -15,4 +17,24 @@ def pseudo_rem_calls(monkeypatch):
         return real(p, q)
 
     monkeypatch.setattr(polyq, "pseudo_rem", counting)
+    return calls
+
+
+@pytest.fixture
+def ultra_calls(monkeypatch):
+    """A Counter of `ufsim.replay` calls ("replay") and of the set operations
+    that meet a set with the running meet ("meet": `indexset.intersect` and
+    `indexset.difference`)."""
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ufsim, "replay", counting("replay", ufsim.replay))
+    for attr in ("intersect", "difference"):
+        monkeypatch.setattr(indexset, attr, counting("meet", getattr(indexset, attr)))
     return calls

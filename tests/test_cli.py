@@ -850,6 +850,29 @@ def test_nested_invert_evaluates_the_innermost_node_less():
     assert len(leaf.rep._memo) < 2116
 
 
+def _ultra_outcome(state: Path, argv, capsys):
+    """The exit code, stdout, stderr and trace bytes of `ultra <argv>` on `state`."""
+    return run_cli(["ultra", *argv, "--state", str(state)], capsys), state.read_bytes()
+
+
+def _full_replay_outcome(state: Path, argv, capsys):
+    """The outcome of `ultra <argv>` on a copy of `state` without a checkpoint."""
+    bare = state.parent / "bare" / state.name
+    bare.parent.mkdir(exist_ok=True)
+    Path(f"{bare}.meet").unlink(missing_ok=True)
+    bare.write_bytes(state.read_bytes())
+    return _ultra_outcome(bare, argv, capsys)
+
+
+def _assert_answers_as_a_full_replay(state: Path, argv, capsys):
+    """`ultra <argv>` on `state` answers as on a copy without a checkpoint;
+    return the outcome."""
+    want = _full_replay_outcome(state, argv, capsys)
+    got = _ultra_outcome(state, argv, capsys)
+    assert got == want, argv
+    return got
+
+
 def test_ultra_query_crash_mid_write_keeps_the_old_trace(tmp_path, capsys, monkeypatch):
     state = tmp_path / "ultra.trace"
     run_cli(["ultra", "query", "pre:;per:10", "--state", str(state)], capsys)
@@ -883,9 +906,14 @@ def test_ultra_query_crash_mid_write_keeps_the_old_trace(tmp_path, capsys, monke
     monkeypatch.undo()
     capsys.readouterr()
     assert state.read_text(encoding="utf-8") == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ultra.trace", "ultra.trace.lock"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ultra.trace",
+        "ultra.trace.lock",
+        "ultra.trace.meet",
+    ]
     code, out, _ = run_cli(["ultra", "trace", "--state", str(state)], capsys)
     assert code == 0 and out == before
+    _assert_answers_as_a_full_replay(state, ["query", "pre:;per:001"], capsys)
 
 
 def test_ultra_query_keeps_the_state_file_mode(tmp_path, capsys):
@@ -906,6 +934,136 @@ def test_ultra_query_writes_through_a_symlinked_state_path(tmp_path, capsys):
     code, out, _ = run_cli(["ultra", "trace", "--state", str(target)], capsys)
     assert code == 0 and out == target.read_text(encoding="utf-8")
     assert out.splitlines() == ["Accepted pre:;per:10", "Rejected pre:;per:01"]
+
+
+# A session of three sets and a repeat: the multiples of 5 meet the evens in
+# 10 bits, the widest meet period charged. The commands below ask for a new
+# set, for a set of the session in a spec that is not canonical, and read.
+_SESSION = ["pre:;per:10", "pre:;per:01", "pre:;per:10000", "pre:;per:10"]
+_CHECKPOINT_COMMANDS = {
+    "new query": ["query", "pre:1;per:0"],
+    "repeated query": ["query", "pre:1;per:10"],
+    "contains": ["contains", "pre:0;per:10"],
+    "trace": ["trace"],
+}
+
+
+def _checkpointed_session(tmp_path, capsys) -> tuple[Path, Path]:
+    state = tmp_path / "ultra.trace"
+    for spec in _SESSION:
+        run_cli(["ultra", "query", spec, "--state", str(state)], capsys)
+    return state, Path(f"{state}.meet")
+
+
+def test_the_checkpoint_copies_the_trace_and_records_the_widest_period_and_the_meet(
+    tmp_path, capsys, ultra_calls
+):
+    state, meet = _checkpointed_session(tmp_path, capsys)
+    text = "Accepted pre:;per:10\nRejected pre:;per:01\nAccepted pre:;per:10000\n"
+    assert state.read_text(encoding="utf-8") == text
+    assert meet.read_text(encoding="utf-8") == text + "10 pre:;per:1000000000\n"
+    # A session that the checkpoint carries is never replayed.
+    assert ultra_calls["replay"] == 0
+    for argv in _CHECKPOINT_COMMANDS.values():
+        _assert_answers_as_a_full_replay(state, argv, capsys)
+    assert ultra_calls["replay"] == len(_CHECKPOINT_COMMANDS)  # the bare copies only
+
+
+_EDITS = {
+    "last line truncated": lambda text: text[:-4],
+    "verdict swapped": lambda text: text.replace("Rejected", "Accepted", 1),
+    "blank line added": lambda text: text.replace("\n", "\n\n", 1),
+    "spec not canonical": lambda text: text.replace("per:10\n", "per:1010\n", 1),
+    "line ends CRLF": lambda text: text.replace("\n", "\r\n"),
+}
+
+
+@pytest.mark.parametrize("command", _CHECKPOINT_COMMANDS)
+@pytest.mark.parametrize("edit", _EDITS)
+def test_a_trace_edited_behind_the_checkpoint_answers_as_a_full_replay(
+    edit, command, tmp_path, capsys
+):
+    state, _ = _checkpointed_session(tmp_path, capsys)
+    state.write_text(_EDITS[edit](state.read_text(encoding="utf-8")), encoding="utf-8")
+    (code, _, err), _ = _assert_answers_as_a_full_replay(
+        state, _CHECKPOINT_COMMANDS[command], capsys
+    )
+    if edit == "verdict swapped":
+        assert (code, err) == (
+            3,
+            "error: inconsistent trace: pre:;per:01 recorded as Accepted but the"
+            " policy decides Rejected (line 2)\n",
+        )
+
+
+@pytest.mark.parametrize("command", _CHECKPOINT_COMMANDS)
+def test_a_checkpoint_cut_at_any_byte_answers_as_a_full_replay(command, tmp_path, capsys):
+    state, meet = _checkpointed_session(tmp_path, capsys)
+    text, saved = state.read_bytes(), meet.read_bytes()
+    argv = _CHECKPOINT_COMMANDS[command]
+    want = _full_replay_outcome(state, argv, capsys)
+    for cut in range(len(saved) + 1):
+        state.write_bytes(text)
+        meet.write_bytes(saved[:cut])
+        assert _ultra_outcome(state, argv, capsys) == want, cut
+
+
+@pytest.mark.parametrize("command", _CHECKPOINT_COMMANDS)
+def test_a_state_file_that_is_a_prefix_of_the_checkpoint_answers_as_a_full_replay(
+    command, tmp_path, capsys
+):
+    # Older traces, traces cut mid-line, and the text followed by a part of
+    # the checkpoint's last line.
+    state, meet = _checkpointed_session(tmp_path, capsys)
+    saved = meet.read_bytes()
+    for cut in range(len(saved) + 1):
+        state.write_bytes(saved[:cut])
+        meet.write_bytes(saved)
+        _assert_answers_as_a_full_replay(state, _CHECKPOINT_COMMANDS[command], capsys)
+
+
+@pytest.mark.parametrize("command", _CHECKPOINT_COMMANDS)
+def test_a_budget_below_the_checkpoint_period_replays_and_exits_2(
+    command, tmp_path, capsys, ultra_calls
+):
+    state, _ = _checkpointed_session(tmp_path, capsys)
+    argv = _CHECKPOINT_COMMANDS[command]
+    got = _assert_answers_as_a_full_replay(state, [*argv, "--budget", "9"], capsys)
+    assert got[0] == (2, "", "budget exhausted: meet period would be 10 bits, over budget 9\n")
+    assert ultra_calls["replay"] == 2
+    (code, _, err), _ = _assert_answers_as_a_full_replay(state, [*argv, "--budget", "10"], capsys)
+    assert (code, err) == (0, "") and ultra_calls["replay"] == 3  # the bare copy only
+
+
+def test_the_checkpoint_keeps_the_state_file_mode(tmp_path, capsys):
+    state, meet = _checkpointed_session(tmp_path, capsys)
+    state.chmod(0o600)
+    run_cli(["ultra", "query", "pre:;per:001", "--state", str(state)], capsys)
+    assert stat.S_IMODE(meet.stat().st_mode) == 0o600
+
+
+def test_a_symlinked_state_path_keeps_one_checkpoint_beside_the_target(
+    tmp_path, capsys, ultra_calls
+):
+    target = tmp_path / "real.trace"
+    link = tmp_path / "link.trace"
+    link.symlink_to(target)
+    for spec in _SESSION:
+        run_cli(["ultra", "query", spec, "--state", str(link)], capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.trace",
+        "real.trace",
+        "real.trace.lock",
+        "real.trace.meet",
+    ]
+    assert run_cli(["ultra", "contains", "pre:0;per:10", "--state", str(link)], capsys) == (
+        0,
+        "ForcedIn\n",
+        "",
+    )
+    code, out, _ = run_cli(["ultra", "trace", "--state", str(link)], capsys)
+    assert code == 0 and out == target.read_text(encoding="utf-8")
+    assert ultra_calls["replay"] == 0
 
 
 def _multiples_trace(path: Path, top: int) -> bytes:

@@ -20,9 +20,16 @@ The cancellation guard reads x - x + 1 and x + 1 - x to ten digits,
 x = sqrt(2)^(2^j + 1) built twice apart, for j up to 18: the leaf of x has a
 radicand of 2^j + 1 bits, yet no root of it is taken and the two terms that
 cancel are never evaluated, so the same one leaf is evaluated at every size.
+
+The trace guard counts `ufsim.replay` calls and set meets (the
+`ultra_calls` fixture, conftest.py) per `ultra` request on traces of 4,000,
+8,000 and 16,000 entries: the first query has no checkpoint and replays the
+trace once, and every later request reads the checkpoint it wrote, so it
+replays nothing and meets the new set with the meet alone.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +142,33 @@ def test_terms_that_cancel_are_neither_rooted_nor_evaluated(monkeypatch, leaf_ev
             counts.append(sum(leaf_evaluations))
         assert counts == [1, 1, 1]  # the line 1 alone
         assert time.perf_counter() - start < 0.5
+
+
+def test_a_checkpointed_trace_is_not_replayed_at_any_length(tmp_path, capsys, ultra_calls):
+    state = tmp_path / "ultra.trace"
+    requests = {  # on the cofinite sets below, each a hit meets at most once
+        "new query": ["query", "pre:00;per:1"],
+        "repeated query": ["query", "pre:00;per:1"],
+        "contains": ["contains", "pre:0;per:1"],
+        "trace": ["trace"],
+    }
+    for n in (4000, 8000, 16000):
+        # Distinct cofinite sets, all accepted: the meet keeps period 1.
+        state.write_text("".join(f"Accepted pre:1{i:016b};per:1\n" for i in range(n)), "utf-8")
+        Path(f"{state}.meet").unlink(missing_ok=True)
+        ultra_calls.clear()
+        assert main(["ultra", "query", "pre:0;per:1", "--state", str(state)]) == 0
+        assert ultra_calls["replay"] == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ultra.trace",
+            "ultra.trace.lock",
+            "ultra.trace.meet",
+        ]
+        for name, argv in requests.items():
+            inode = state.stat().st_ino
+            ultra_calls.clear()
+            assert main(["ultra", *argv, "--state", str(state)]) == 0
+            assert ultra_calls["replay"] == 0 and ultra_calls["meet"] <= 1, (n, name)
+            # Only a new set replaces the state file.
+            assert (state.stat().st_ino == inode) == (name != "new query"), (n, name)
+        assert len(capsys.readouterr().out.splitlines()) == 4 + n + 2
