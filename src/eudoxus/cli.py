@@ -239,7 +239,7 @@ def _load_state(path: str, budget: int):
 
     The checkpoint `<path>.meet`, beside the symlink's target, stands in for
     the replay when it is the file's text byte for byte plus one whole last
-    line, and that line's widest meet period is within `budget`. Then `text`
+    line, and the budget that line records is within `budget`. Then `text`
     is the whole file and the state carries only the meet. Otherwise the file
     is replayed, as `import_trace` checks it, and `text` is empty.
     """
@@ -253,25 +253,25 @@ def _load_state(path: str, budget: int):
         saved = _read_text(os.path.realpath(path) + ".meet", "checkpoint")
         cut = saved.rfind("\n", 0, len(saved) - 1) + 1  # where the last line starts
         if saved.endswith("\n") and cut == len(text) and saved.startswith(text):
-            widest, _, spec = saved[cut:-1].partition(" ")
-            if int(widest) <= budget:
-                meet = indexset.parse(spec)
-                return text, ufsim.FilterState((), meet, widest=int(widest))
+            checked, _, spec = saved[cut:-1].partition(" ")
+            if int(checked) <= budget:
+                return text, ufsim.FilterState((), indexset.parse(spec))
     return "", ufsim.import_trace(text, budget=budget)
 
 
-def _save_state(path: str, text: str, state) -> None:
+def _save_state(path: str, text: str, state, budget: int) -> None:
     """Replace the state file with `text`, then write its checkpoint: the text
-    and a line with the widest meet period and the meet of `state`. The
-    checkpoint is a cache and a torn or stale one only misses, so it is
-    written in place, unsynced, with the state file's permission bits."""
+    and a line with `budget`, under which every step of `text` was checked,
+    and the meet of `state`. The checkpoint is a cache and a torn or stale
+    one only misses, so it is written in place, unsynced, with the state
+    file's permission bits."""
     from . import indexset
 
     _replace_file(path, text)
     with suppress(OSError), open(path + ".meet", "w", encoding="utf-8") as fh:
         shutil.copymode(path, path + ".meet")
         fh.write(text)
-        fh.write(f"{state.widest} {indexset.format_set(state.meet)}\n")
+        fh.write(f"{budget} {indexset.format_set(state.meet)}\n")
 
 
 @contextmanager
@@ -324,7 +324,7 @@ def cmd_ultra_query(args, cfg: Config):
         verdict = ufsim.find_verdict(text, s)
         if verdict is None:
             verdict, state = ufsim.query(state, s, budget=cfg.budget)
-            _save_state(path, text + ufsim.export_trace(state), state)
+            _save_state(path, text + ufsim.export_trace(state), state, cfg.budget)
     result = {"verdict": verdict.value, "set": indexset.format_set(s)}
     return result, [verdict.value], 0
 

@@ -17,7 +17,7 @@ conversion.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 
 from . import Record
 
@@ -296,9 +296,7 @@ class RatFun(Record):
 def from_fraction_coeffs(coeffs) -> tuple[Coeffs, int]:
     """Clear denominators: return (integer coefficients, common multiplier)."""
     fracs = [Fraction(c) for c in coeffs]
-    m = 1
-    for c in fracs:
-        m = m * c.denominator // _int_gcd(m, c.denominator)
+    m = lcm(*(c.denominator for c in fracs))
     return trim(int(c * m) for c in fracs), m
 
 

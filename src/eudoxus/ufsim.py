@@ -20,11 +20,6 @@ MeetOverBudget instead. Without a budget nothing is capped.
 
 Replay is linear in the trace's length: one dict, in log order, collects the
 decisions. A trace error names its file line; blank lines count as lines.
-A state records the widest meet period any of its decisions was charged, so
-a replay of its log under a budget at least that wide stays within it. That
-lets the CLI skip the replay: its checkpoint beside the trace holds a copy of
-the trace text, that period and the meet, and a request whose state file
-equals the copy decides against the meet alone, not the whole log again.
 """
 
 from __future__ import annotations
@@ -69,43 +64,36 @@ class FilterState(Record):
 
     `verdicts`, not a field, is the log as a set -> verdict dict, so a
     repeated query is one lookup. `query` gives each derived state its own
-    copy, so an older state keeps its own answers. `widest`, not a field
-    either, is the largest meet period a decision on the way here was
-    charged; `query` and `replay` keep it, and a state built directly starts
-    from the one it is given.
+    copy, so an older state keeps its own answers.
     """
 
     log: tuple[tuple[IndexSet, Verdict], ...]
     meet: IndexSet
 
-    def __init__(
-        self, log: tuple, meet: IndexSet, verdicts: dict | None = None, *, widest: int = 0
-    ):
+    def __init__(self, log: tuple, meet: IndexSet, verdicts: dict | None = None):
         super().__init__(log, meet)
         self.__dict__["verdicts"] = dict(log) if verdicts is None else verdicts
-        self.__dict__["widest"] = widest
 
 
 def fresh_state() -> FilterState:
     return FilterState((), indexset.full())
 
 
-def _charge(s: IndexSet, meet: IndexSet, budget: int | None) -> int:
-    """The period of s meet `meet`; raise MeetOverBudget if over `budget` bits."""
-    length = lcm(len(s.period), len(meet.period))
-    if budget is not None and length > budget:
-        raise MeetOverBudget(length, budget)
-    return length
+def _charge(s: IndexSet, meet: IndexSet, budget: int | None) -> None:
+    """Raise MeetOverBudget if meeting s with `meet` would exceed `budget` bits."""
+    if budget is not None:
+        length = lcm(len(s.period), len(meet.period))
+        if length > budget:
+            raise MeetOverBudget(length, budget)
 
 
-def _decide(s: IndexSet, meet: IndexSet, budget: int | None) -> tuple[Verdict, IndexSet, int]:
-    """Decide s accept-first against `meet`; return the verdict, the new meet
-    and the period charged."""
-    length = _charge(s, meet, budget)
+def _decide(s: IndexSet, meet: IndexSet, budget: int | None) -> tuple[Verdict, IndexSet]:
+    """Decide s accept-first against `meet`; return the verdict and the new meet."""
+    _charge(s, meet, budget)
     hit = indexset.intersect(s, meet)
     if hit.is_infinite():
-        return Verdict.ACCEPTED, hit, length
-    return Verdict.REJECTED, indexset.difference(meet, s), length
+        return Verdict.ACCEPTED, hit
+    return Verdict.REJECTED, indexset.difference(meet, s)
 
 
 def query(
@@ -116,10 +104,9 @@ def query(
     verdict = state.verdicts.get(s)
     if verdict is not None:
         return verdict, state
-    verdict, meet, length = _decide(s, state.meet, budget)
+    verdict, meet = _decide(s, state.meet, budget)
     log = state.log + ((s, verdict),)
-    verdicts = {**state.verdicts, s: verdict}
-    return verdict, FilterState(log, meet, verdicts, widest=max(state.widest, length))
+    return verdict, FilterState(log, meet, {**state.verdicts, s: verdict})
 
 
 def contains(
@@ -137,20 +124,19 @@ def contains(
 def replay(entries, *, budget: int | None = None) -> FilterState:
     """Rebuild a state from (set, verdict) pairs, checking every decision;
     `budget` caps each meet as in `query`."""
-    verdicts, meet, widest = {}, indexset.full(), 0
+    verdicts, meet = {}, indexset.full()
     for line, (s, recorded) in enumerate(entries, start=1):
         computed = verdicts.get(s)
         if computed is None:
-            computed, meet, length = _decide(s, meet, budget)
+            computed, meet = _decide(s, meet, budget)
             verdicts[s] = computed
-            widest = max(widest, length)
         if computed is not recorded:
             raise TraceError(
                 f"inconsistent trace: {indexset.format_set(s)} recorded as "
                 f"{recorded.value} but the policy decides {computed.value}",
                 line,
             )
-    return FilterState(tuple(verdicts.items()), meet, verdicts, widest=widest)
+    return FilterState(tuple(verdicts.items()), meet, verdicts)
 
 
 def _line(s: IndexSet, verdict: Verdict) -> str:

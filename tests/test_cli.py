@@ -937,8 +937,9 @@ def test_ultra_query_writes_through_a_symlinked_state_path(tmp_path, capsys):
 
 
 # A session of three sets and a repeat: the multiples of 5 meet the evens in
-# 10 bits, the widest meet period charged. The commands below ask for a new
-# set, for a set of the session in a spec that is not canonical, and read.
+# 10 bits, the widest meet period charged, and the checkpoint records the
+# default budget of 2^20 bits. The commands below ask for a new set, for a set
+# of the session in a spec that is not canonical, and read.
 _SESSION = ["pre:;per:10", "pre:;per:01", "pre:;per:10000", "pre:;per:10"]
 _CHECKPOINT_COMMANDS = {
     "new query": ["query", "pre:1;per:0"],
@@ -961,7 +962,7 @@ def test_the_checkpoint_copies_the_trace_and_records_the_widest_period_and_the_m
     state, meet = _checkpointed_session(tmp_path, capsys)
     text = "Accepted pre:;per:10\nRejected pre:;per:01\nAccepted pre:;per:10000\n"
     assert state.read_text(encoding="utf-8") == text
-    assert meet.read_text(encoding="utf-8") == text + "10 pre:;per:1000000000\n"
+    assert meet.read_text(encoding="utf-8") == text + "1048576 pre:;per:1000000000\n"
     # A session that the checkpoint carries is never replayed.
     assert ultra_calls["replay"] == 0
     for argv in _CHECKPOINT_COMMANDS.values():
@@ -1026,13 +1027,57 @@ def test_a_state_file_that_is_a_prefix_of_the_checkpoint_answers_as_a_full_repla
 def test_a_budget_below_the_checkpoint_period_replays_and_exits_2(
     command, tmp_path, capsys, ultra_calls
 ):
-    state, _ = _checkpointed_session(tmp_path, capsys)
+    state, meet = _checkpointed_session(tmp_path, capsys)
     argv = _CHECKPOINT_COMMANDS[command]
     got = _assert_answers_as_a_full_replay(state, [*argv, "--budget", "9"], capsys)
     assert got[0] == (2, "", "budget exhausted: meet period would be 10 bits, over budget 9\n")
     assert ultra_calls["replay"] == 2
+    # 10 bits cover every meet, but not the recorded 2^20: both copies replay.
     (code, _, err), _ = _assert_answers_as_a_full_replay(state, [*argv, "--budget", "10"], capsys)
-    assert (code, err) == (0, "") and ultra_calls["replay"] == 3  # the bare copy only
+    assert (code, err) == (0, "") and ultra_calls["replay"] == 4
+    # A query under 10 bits records 10, and a read under 10 bits hits.
+    run_cli(["ultra", "query", "pre:01;per:0", "--budget", "10", "--state", str(state)], capsys)
+    assert meet.read_text(encoding="utf-8").splitlines()[-1].startswith("10 ")
+    replays = ultra_calls["replay"]
+    code, out, _ = run_cli(["ultra", "trace", "--budget", "10", "--state", str(state)], capsys)
+    assert (code, out) == (0, state.read_text(encoding="utf-8"))
+    assert ultra_calls["replay"] == replays
+
+
+def test_the_checkpoint_records_the_effective_budget(tmp_path, capsys, monkeypatch):
+    state, meet = tmp_path / "ultra.trace", tmp_path / "ultra.trace.meet"
+    config = tmp_path / "eudoxus.conf"
+    config.write_text("budget = 30\n", encoding="utf-8")
+
+    def recorded(*flags):
+        state.unlink(missing_ok=True)
+        argv = ["ultra", "query", "pre:;per:10", "--state", str(state), *flags]
+        assert run_cli(argv, capsys)[0] == 0
+        return meet.read_text(encoding="utf-8").splitlines()[-1]
+
+    assert recorded() == "1048576 pre:;per:10"
+    assert recorded("--config", str(config)) == "30 pre:;per:10"
+    monkeypatch.setenv("EUDOXUS_BUDGET", "20")
+    assert recorded("--config", str(config)) == "20 pre:;per:10"
+    assert recorded("--config", str(config), "--budget", "10") == "10 pre:;per:10"
+
+
+def test_a_checkpoint_that_records_the_widest_period_still_serves(
+    tmp_path, capsys, ultra_calls
+):
+    # Until the checkpoint recorded its budget, its last line held the widest
+    # meet period charged: a budget under which the whole trace was checked.
+    state, meet = _checkpointed_session(tmp_path, capsys)
+    text = state.read_text(encoding="utf-8")
+    ultra_calls.clear()
+    for argv in _CHECKPOINT_COMMANDS.values():
+        for budget in ([], ["--budget", "9"]):
+            state.write_text(text, encoding="utf-8")
+            meet.write_text(text + "10 pre:;per:1000000000\n", encoding="utf-8")
+            got = _assert_answers_as_a_full_replay(state, [*argv, *budget], capsys)
+        assert got[0] == (2, "", "budget exhausted: meet period would be 10 bits, over budget 9\n")
+    # The bare copies replay, and the checkpointed one under 9 bits only.
+    assert ultra_calls["replay"] == 3 * len(_CHECKPOINT_COMMANDS)
 
 
 def test_the_checkpoint_keeps_the_state_file_mode(tmp_path, capsys):

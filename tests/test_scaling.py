@@ -21,6 +21,13 @@ x = sqrt(2)^(2^j + 1) built twice apart, for j up to 18: the leaf of x has a
 radicand of 2^j + 1 bits, yet no root of it is taken and the two terms that
 cancel are never evaluated, so the same one leaf is evaluated at every size.
 
+The DAG guard builds y = Sum(y, y) n times from one leaf, twice apart, for n
+up to 400: each tree has n + 1 nodes and 2^n paths. It counts the rule-field
+lookups of `==` between the two (a counting `ahom._RULE_FIELDS`) and the
+nodes `linear_form` pushes on its heap, and either count must follow the
+nodes, not the paths; a count that runs away stops the test instead of
+walking 2^n paths.
+
 The trace guard counts `ufsim.replay` calls and set meets (the
 `ultra_calls` fixture, conftest.py) per `ultra` request on traces of 4,000,
 8,000 and 16,000 entries: the first query has no checkpoint and replays the
@@ -29,12 +36,13 @@ replays nothing and meets the new set with the meet alone.
 """
 
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from eudoxus import ahom
-from eudoxus.ahom import FloorLinear, FloorSqrt
+from eudoxus.ahom import FloorLinear, FloorSqrt, Sum
 from eudoxus.cli import main
 from eudoxus.reals import from_rational, from_sqrt_int
 
@@ -142,6 +150,42 @@ def test_terms_that_cancel_are_neither_rooted_nor_evaluated(monkeypatch, leaf_ev
             counts.append(sum(leaf_evaluations))
         assert counts == [1, 1, 1]  # the line 1 alone
         assert time.perf_counter() - start < 0.5
+
+
+def test_a_sum_dag_costs_its_nodes_not_its_paths(monkeypatch):
+    counts, cap = Counter(), 10_000  # n + 1 at n = 400 is far below the cap
+
+    def tick(name):
+        counts[name] += 1
+        if counts[name] > cap:
+            raise AssertionError(f"over {cap} {name}")
+
+    class CountingFields(dict):
+        def __getitem__(self, cls):
+            tick("field lookups")
+            return super().__getitem__(cls)
+
+    heappush = ahom.heappush
+    monkeypatch.setattr(ahom, "_RULE_FIELDS", CountingFields(ahom._RULE_FIELDS))
+    monkeypatch.setattr(ahom, "heappush", lambda heap, item: tick("pushes") or heappush(heap, item))
+
+    def doubled(n):
+        y = FloorSqrt(2)
+        for _ in range(n):
+            y = Sum(y, y)
+        return y
+
+    work = []
+    start = time.perf_counter()
+    for n in (100, 200, 400):
+        x, twin = doubled(n), doubled(n)
+        counts.clear()
+        assert x == twin
+        assert [c for _, c in ahom.linear_form(x).values()] == [2**n]
+        work.append((counts["field lookups"], counts["pushes"]))
+    assert time.perf_counter() - start < 0.5
+    for small, big in zip(work, work[1:]):  # n + 1 lookups and n pushes today
+        assert 0 < big[0] <= 2.5 * small[0] and 0 < big[1] <= 2.5 * small[1], work
 
 
 def test_a_checkpointed_trace_is_not_replayed_at_any_length(tmp_path, capsys, ultra_calls):

@@ -100,20 +100,6 @@ def test_meet_budget_is_charged_before_the_meet_is_built():
     assert replay(entries, budget=12) == replay(entries)
 
 
-def test_a_state_records_the_widest_meet_period_its_decisions_were_charged():
-    _, state = _session()  # evens, odds and multiples(4) charge 2, 2 and 4 bits
-    assert state.widest == 4 and fresh_state().widest == 0
-    _, wider = query(state, multiples(3))
-    assert wider.widest == 12 and query(wider, multiples(3))[1].widest == 12
-    contains(wider, multiples(5))  # a check commits nothing and records nothing
-    assert wider.widest == 12
-    assert replay(list(wider.log)).widest == import_trace(export_trace(wider)).widest == 12
-    # A budget replays the log exactly when it covers the widest period.
-    with pytest.raises(MeetOverBudget):
-        replay(list(wider.log), budget=11)
-    assert replay(list(wider.log), budget=12).widest == 12
-
-
 def test_contains_examples():
     state = fresh_state()
     _, state = query(state, evens())
