@@ -25,7 +25,7 @@ import os
 import re
 import shutil
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,7 +75,7 @@ def load_config(path: str | None) -> Config:
     return cfg
 
 
-def _set_config_key(cfg: Config, key: str, value: str, where: str) -> None:
+def _set_config_key(cfg: Config, key: str, value: str | int, where: str) -> None:
     if key not in Config.__annotations__:
         raise ConfigError(f"{where}: unknown key {key!r}")
     if isinstance(getattr(cfg, key), int):
@@ -101,10 +101,21 @@ def _read_text(path: str, what: str) -> str:
 # -- expression evaluation ----------------------------------------------------
 
 
-# Two tables for `expr.fold`, one per value tier: `_real_ops` folds a real
-# into a Fraction or a rule tree, `_quotient_ops(view)` folds anything else
-# into the given view of `polyq.RatFun`. The quotient table reaches `hyper`
-# through the module at call time, so wrappers on its functions see every call.
+# The CLI reads every expression through `_read`, with one of two tables for
+# `expr.fold`, one per value tier: `_real_ops` folds a real into a Fraction or
+# a rule tree, `_quotient_ops(view)` folds anything else into the given view
+# of `polyq.RatFun`. The quotient table reaches `hyper` through the module at
+# call time, so wrappers on its functions see every call.
+
+
+def _read(text: str, context: str, table: dict):
+    """Parse `text`, check it in `expr.Context(context)` and fold it with
+    `table`. Each step reports the first error in reading order."""
+    from . import expr
+
+    tree = expr.parse(text)
+    expr.typecheck(tree, expr.Context(context))
+    return expr.fold(tree, table)
 
 
 def _real_power(base, k: int):
@@ -133,23 +144,23 @@ def _real(value):
     return reals.from_rational(value.numerator, value.denominator)
 
 
-def _real_ops(budget: int) -> tuple[dict, dict]:
-    """The real table, and the child order to fold it in. A rational
-    subexpression, of integer literals and roots of perfect squares, folds to
-    an exact Fraction, which becomes a real only where it meets one."""
+def _real_ops(budget: int) -> dict:
+    """The real table. A rational subexpression, of integer literals and
+    roots of perfect squares, folds to an exact Fraction, which becomes a
+    real only where it meets one."""
     from fractions import Fraction
     from math import isqrt
 
     from . import expr, reals
 
-    def quotient(n, right, left):
+    def quotient(n, left, right):
         if type(right) is Fraction and not right:
             raise ZeroDivisionError("division by zero")
         if type(left) is type(right) is Fraction:
             return left / right
         return _real(left).mul(_real(right).recip(budget))
 
-    table = {
+    return {
         expr.IntLit: lambda n: Fraction(n.value),
         expr.SqrtInt: lambda n: (
             Fraction(r) if (r := isqrt(n.k)) * r == n.k else reals.from_sqrt_int(n.k)
@@ -157,14 +168,10 @@ def _real_ops(budget: int) -> tuple[dict, dict]:
         expr.Add: lambda n, a, b: a + b if type(a) is type(b) is Fraction else _real(a) + _real(b),
         expr.Sub: lambda n, a, b: a - b if type(a) is type(b) is Fraction else _real(a) - _real(b),
         expr.Mul: lambda n, a, b: a * b if type(a) is type(b) is Fraction else _real(a) * _real(b),
-        # Children arrive in the order below: the divisor first.
         expr.Div: quotient,
         expr.Pow: lambda n, b: (pow if type(b) is Fraction else _real_power)(b, n.exponent),
         expr.St: lambda n, x: x,  # st is the identity on embedded reals
     }
-    # The divisor is evaluated before the dividend, so when both sides hold a
-    # division whose sign scan fails, the divisor's failure is the one reported.
-    return table, {**expr.CHILDREN, expr.Div: ("right", "left")}
 
 
 def _quotient_ops(view) -> dict:
@@ -194,22 +201,16 @@ def _quotient_ops(view) -> dict:
 
 
 def cmd_digits(args, cfg: Config):
-    from . import expr
-
     precision = cfg.default_precision
-    tree = expr.parse(args.expr)
-    expr.typecheck(tree, expr.Context.REAL)
-    value = _real(expr.fold(tree, *_real_ops(cfg.budget)))
+    value = _real(_read(args.expr, "real", _real_ops(cfg.budget)))
     rendered = value.to_decimal(precision)
     return {"value": rendered, "precision": precision}, [rendered], value.eval_index(precision)
 
 
 def cmd_hyper_eval(args, cfg: Config):
-    from . import expr, hyper, polyq
+    from . import hyper, polyq
 
-    tree = expr.parse(args.expr)
-    expr.typecheck(tree, expr.Context.HYPER)
-    value = expr.fold(tree, _quotient_ops(hyper.RationalSlopeGerm))
+    value = _read(args.expr, "hyper", _quotient_ops(hyper.RationalSlopeGerm))
     cls = hyper.classify(value)
     result = {
         "class": cls.kind.value,
@@ -221,11 +222,9 @@ def cmd_hyper_eval(args, cfg: Config):
 
 
 def cmd_derive(args, cfg: Config):
-    from . import calculus, expr, polyq
+    from . import calculus, polyq
 
-    tree = expr.parse(args.poly)
-    expr.typecheck(tree, expr.Context.DERIVE)
-    fn = expr.fold(tree, _quotient_ops(calculus.RatFunction))
+    fn = _read(args.poly, "derive", _quotient_ops(calculus.RatFunction))
     slope = calculus.derivative_at(fn, args.at)
     exact = polyq.fraction_text(slope)
     decimal = polyq.decimal_of_fraction(slope, cfg.default_precision)
@@ -276,16 +275,14 @@ def _save_state(path: str, text: str, state, budget: int) -> None:
 
 @contextmanager
 def _locked(path: str):
-    try:
-        fh = open(path + ".lock", "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot lock state file: {exc}") from None
-    with fh:
-        fcntl.flock(fh, fcntl.LOCK_EX)
+    with ExitStack() as stack:
         try:
-            yield
-        finally:
-            fcntl.flock(fh, fcntl.LOCK_UN)
+            fh = stack.enter_context(open(path + ".lock", "w", encoding="utf-8"))
+            fcntl.flock(fh, fcntl.LOCK_EX)
+        except OSError as exc:
+            raise ConfigError(f"cannot lock state file: {exc}") from None
+        stack.callback(fcntl.flock, fh, fcntl.LOCK_UN)
+        yield
 
 
 def _replace_file(path: str, text: str) -> None:
@@ -294,7 +291,8 @@ def _replace_file(path: str, text: str) -> None:
     A reader, or a crash part-way through, sees the old file or the new one,
     never a mix. The new file keeps the old one's permission bits. Callers
     hold the state lock and pass a path without symlinks, so one temporary
-    name serves and a symlink is never replaced by a regular file.
+    name serves and a symlink is never replaced by a regular file. A failed
+    write removes the temporary file, and an OSError becomes a ConfigError.
     """
     tmp = path + ".tmp"
     try:
@@ -305,9 +303,11 @@ def _replace_file(path: str, text: str) -> None:
         if os.path.exists(path):
             shutil.copymode(path, tmp)
         os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
+    except BaseException as exc:
+        with suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write state file: {exc}") from None
         raise
 
 
@@ -348,11 +348,9 @@ def cmd_ultra_trace(args, cfg: Config):
 
 
 def cmd_lup_check(args, cfg: Config):
-    from . import expr, hyper, indexset, lup
+    from . import hyper, indexset, lup
 
-    tree = expr.parse(args.expr)
-    expr.typecheck(tree, expr.Context.HYPER)
-    value = expr.fold(tree, _quotient_ops(hyper.RationalSlopeGerm))
+    value = _read(args.expr, "hyper", _quotient_ops(hyper.RationalSlopeGerm))
     chunks = re.split(r";\s*(?=pre:)", args.partition.strip())
     partition = lup.Partition(tuple(indexset.parse(c.strip()) for c in chunks))
     admissible = lup.is_admissible(value, lup.LimitFilterSpec((partition,)))
@@ -706,10 +704,8 @@ def main(argv=None) -> int:
             ("state", "state_path"),
         ):
             value = getattr(args, flag, None)
-            if isinstance(value, int) and value < 1:
-                raise ConfigError(f"{flag} must be positive")
             if value is not None:
-                setattr(cfg, key, value)
+                _set_config_key(cfg, key, value, "--" + flag)
         handler = globals()["cmd_" + args.words.replace(" ", "_")]
         result, lines, budget_used = handler(args, cfg)
     except Exception as exc:

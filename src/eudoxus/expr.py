@@ -239,12 +239,11 @@ CHILDREN = {
 }
 
 
-def fold(tree, table, order=CHILDREN):
+def fold(tree, table):
     """Combine a tree bottom-up, iteratively, so depth costs no recursion.
 
     `table` maps a node type to `handler(node, *child_values)`. Children are
-    folded first, in the field order `order` gives (left to right unless a
-    caller overrides it), then their parent. A node whose type has no
+    folded first, left to right, then their parent. A node whose type has no
     handler is a SortError, raised before its children are visited.
     """
     values: list = []
@@ -260,7 +259,7 @@ def fold(tree, table, order=CHILDREN):
         handler = table.get(type(node))
         if handler is None:
             raise SortError(f"{type(node).__name__} has no value in this sort")
-        fields = order.get(type(node))
+        fields = CHILDREN.get(type(node))
         if fields is None:
             values.append(handler(node))
             continue

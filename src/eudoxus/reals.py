@@ -134,7 +134,7 @@ class EudoxusReal(Record):
             return Negative()
         return ZeroWithin(Fraction(c + abs(v), n))
 
-    def equals_within(self, other: "EudoxusReal", window: int = 256) -> bool:
+    def equals_within(self, other: "EudoxusReal", window: int) -> bool:
         """Window surrogate for class equality.
 
         If the two elements are equal then |f(n) - g(n)| <= C_f + C_g for all

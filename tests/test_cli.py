@@ -1,3 +1,4 @@
+import errno
 import fcntl
 import json
 import operator
@@ -95,12 +96,36 @@ def test_digits_perfect_square_root_divisors(text, code, out, err, capsys):
 
 
 def test_irrational_root_divisor_stays_undecided(capsys):
-    # In the last, the divisor 2-2 is folded first, but the dividend's scan
-    # fails before the zero divisor is reached.
+    # In the last, the dividend is folded first, and its scan fails before
+    # the zero divisor is reached.
     texts = ("1/(sqrt(3)*sqrt(3)-3)", "1/st(sqrt(3)*sqrt(3)-3)", "(1/(sqrt(3)*sqrt(3)-3))/(2-2)")
     for text in texts:
         code, out, err = run_cli(["digits", text], capsys)
         assert (code, out) == (2, "") and err.startswith("budget exhausted"), text
+
+
+_UNDECIDED = "1/(sqrt(3)*sqrt(3)-3)"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        # When both operands of a quotient fail, the dividend's error is the
+        # one reported, the reading order of the parser and the sort check.
+        (["digits", f"(1/0)/({_UNDECIDED})", "--budget", "64"], 3, "error: division by zero\n"),
+        (
+            ["digits", f"({_UNDECIDED})/(1/0)", "--budget", "64"],
+            2,
+            "budget exhausted: sign undecided within budget 64; |value| <= 1/32\n",
+        ),
+        # A flag is checked as a file or environment value is, and named.
+        (["digits", "1", "--budget", "0"], 1, "error: --budget: budget must be positive\n"),
+        (["digits", "1", "-p", "0"], 1, "error: --precision: default_precision must be positive\n"),
+    ],
+    ids=["dividend-fails-first", "mirrored", "budget-flag", "precision-flag"],
+)
+def test_input_errors_are_reported_in_reading_order_and_by_source(argv, code, err, capsys):
+    assert run_cli(argv, capsys) == (code, "", err)
 
 
 @pytest.mark.parametrize(
@@ -901,10 +926,9 @@ def test_ultra_query_crash_mid_write_keeps_the_old_trace(tmp_path, capsys, monke
         return PartWrite(fh) if "w" in mode else fh
 
     monkeypatch.setattr(cli, "open", crashing_open, raising=False)
-    with pytest.raises(OSError):
-        main(["ultra", "query", "pre:;per:001", "--state", str(state)])
+    got = run_cli(["ultra", "query", "pre:;per:001", "--state", str(state)], capsys)
     monkeypatch.undo()
-    capsys.readouterr()
+    assert got == (1, "", "error: cannot write state file: simulated crash mid-write\n")
     assert state.read_text(encoding="utf-8") == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "ultra.trace",
@@ -914,6 +938,30 @@ def test_ultra_query_crash_mid_write_keeps_the_old_trace(tmp_path, capsys, monke
     code, out, _ = run_cli(["ultra", "trace", "--state", str(state)], capsys)
     assert code == 0 and out == before
     _assert_answers_as_a_full_replay(state, ["query", "pre:;per:001"], capsys)
+
+
+@pytest.mark.parametrize(
+    "module, name, error, what",
+    [(os, "fsync", errno.ENOSPC, "write"), (fcntl, "flock", errno.ENOLCK, "lock")],
+    ids=["write", "lock"],
+)
+def test_a_state_file_that_cannot_be_locked_or_written_is_an_error(
+    module, name, error, what, tmp_path, capsys, monkeypatch
+):
+    state = tmp_path / "ultra.trace"
+    run_cli(["ultra", "query", "pre:;per:10", "--state", str(state)], capsys)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def failing(*args):
+        raise OSError(error, os.strerror(error))
+
+    monkeypatch.setattr(module, name, failing)
+    code, out, err = run_cli(["ultra", "query", "pre:;per:01", "--state", str(state)], capsys)
+    monkeypatch.undo()
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot {what} state file: [Errno {error}] {os.strerror(error)}\n"
+    # The state file and its checkpoint keep their bytes, and no .tmp is left.
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_ultra_query_keeps_the_state_file_mode(tmp_path, capsys):

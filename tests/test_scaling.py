@@ -33,6 +33,12 @@ The trace guard counts `ufsim.replay` calls and set meets (the
 8,000 and 16,000 entries: the first query has no checkpoint and replays the
 trace once, and every later request reads the checkpoint it wrote, so it
 replays nothing and meets the new set with the meet alone.
+
+The power guard builds (sqrt(7) - sqrt(2))^k by `cli._real_power` at k =
+128, 256 and 512, from a fresh base each time. Each squaring reuses one
+half, so the result has a node per squaring step, and building it costs
+work linear in k; a square of two halves built apart has about k nodes, so
+its node count doubles with k where the guard allows two more nodes.
 """
 
 import time
@@ -43,7 +49,7 @@ import pytest
 
 from eudoxus import ahom
 from eudoxus.ahom import FloorLinear, FloorSqrt, Sum
-from eudoxus.cli import main
+from eudoxus.cli import _real_power, main
 from eudoxus.reals import from_rational, from_sqrt_int
 
 
@@ -216,3 +222,30 @@ def test_a_checkpointed_trace_is_not_replayed_at_any_length(tmp_path, capsys, ul
             # Only a new set replaces the state file.
             assert (state.stat().st_ino == inode) == (name != "new query"), (n, name)
         assert len(capsys.readouterr().out.splitlines()) == 4 + n + 2
+
+
+def test_a_power_shares_its_halves(monkeypatch):
+    evals = []
+    eval_ = ahom.AlmostHom.eval
+    monkeypatch.setattr(ahom.AlmostHom, "eval", lambda self, a: evals.append(1) or eval_(self, a))
+
+    def distinct_nodes(root):
+        seen, stack = set(), [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                fields = ahom._RULE_FIELDS[type(node)]
+                stack.extend(getattr(node, name) for name, scalar in fields if not scalar)
+        return len(seen)
+
+    work = []
+    start = time.perf_counter()
+    for k in (128, 256, 512):
+        base = from_sqrt_int(7) - from_sqrt_int(2)
+        del evals[:]
+        power = _real_power(base, k)
+        work.append((distinct_nodes(power.rep), len(evals)))
+    assert time.perf_counter() - start < 0.5
+    for small, big in zip(work, work[1:]):  # 11, 12 and 13 nodes today
+        assert big[0] <= small[0] + 2 and 0 < big[1] <= 2.5 * small[1], work
