@@ -525,7 +525,10 @@ class BoundReport(Record):
 
 
 def verify_bound(f: AlmostHom, window: int) -> BoundReport:
-    """Exhaustively audit the certificate over p, q in [-window, window]."""
+    """Exhaustively audit the certificate over p, q in [-window, window].
+
+    d(p, q) = d(q, p), so each unordered pair is read once, with q >= p.
+    """
     if window < 1:
         raise ValueError("window must be positive")
     vals = eval_range(f, range(-2 * window, 2 * window + 1))
@@ -534,7 +537,7 @@ def verify_bound(f: AlmostHom, window: int) -> BoundReport:
     for p in range(-window, window + 1):
         fp = vals[base + p]
         row = base + p
-        for q in range(-window, window + 1):
+        for q in range(p, window + 1):
             d = vals[row + q] - fp - vals[base + q]
             if d < 0:
                 d = -d

@@ -6,9 +6,12 @@ values). `RatFun` is the shared quotient behind index-dependent slopes
 (`hyper.RationalSlopeGerm`) and the calculus layer (`calculus.RatFunction`);
 it prints itself in its view's variable, i for germs and x otherwise.
 `gcd` is GCDHEU: if the integer gcd of both inputs' values at xi =
-2*min(max norm) + 29 is 1, the root bound proves them coprime; otherwise it
-is read back in xi-adic digits and confirmed by `divide_exact`, with the
-pseudo-remainder loop as the fallback.
+2*min(max norm) + 29 is below xi/2, the root bound proves them coprime;
+otherwise it is read back in xi-adic digits and confirmed by `divide_exact`,
+with the pseudo-remainder loop as the fallback. `normalize_ratfun` drops a
+gcd's power of the variable as a slice of both sides, and `eval_at` splits a
+long polynomial into halves, so high-degree normal forms need neither a long
+division by x^m nor Horner's rule at a large xi.
 `int_text`, `fraction_text` and `decimal_of_fraction` print integers and
 fractions at any length, also past Python's 4,300-digit limit on int-to-str
 conversion.
@@ -90,11 +93,31 @@ def pow_(p: Coeffs, k: int) -> Coeffs:
     return out
 
 
+_PIECE = 32  # the longest piece `eval_at` runs Horner on
+
+
 def eval_at(p: Coeffs, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+    """p(x) for an int or a Fraction x.
+
+    A polynomial of more than 32 coefficients is evaluated by halves: Horner
+    on each piece of 32, then neighbours joined as lo + x^h * hi with h = 32,
+    64, 128, ..., the powers got by squaring. So a long polynomial at a large
+    x multiplies numbers of balanced size, where Horner multiplies the whole
+    running value by x once per coefficient.
+    """
+    if len(p) <= _PIECE:
+        acc = 0
+        for c in reversed(p):
+            acc = acc * x + c
+        return acc
+    vals = [eval_at(p[lo : lo + _PIECE], x) for lo in range(0, len(p), _PIECE)]
+    power = x**_PIECE
+    while True:
+        joined = [lo + power * hi for lo, hi in zip(vals[::2], vals[1::2])]
+        vals = joined + vals[2 * len(joined) :]  # an odd last piece waits a round
+        if len(vals) == 1:
+            return vals[0]
+        power *= power
 
 
 def content(p: Coeffs) -> int:
@@ -130,10 +153,12 @@ def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
     """Primitive polynomial gcd with positive leading coefficient.
 
     GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 7, 1989): h is the integer
-    gcd of the primitive inputs' values at xi = 2*min(|a|, |b|) + 29 (max
-    norms). A common factor C of positive degree has only roots of modulus
-    at most 1 + min(|a|, |b|) (Cauchy's bound for the smaller input), so
-    |C(xi)| >= 2, and C(xi) divides h: h = 1 proves a and b coprime.
+    gcd of the primitive inputs' values at xi = 2*m + 29, where m =
+    min(|a|, |b|) (max norms). A common factor C of positive degree has only
+    roots of modulus at most 1 + m (Cauchy's bound for the smaller input), so
+    |C(xi)| >= xi - 1 - m = m + 28 > xi/2, and C(xi) divides h: h < xi/2
+    proves a and b coprime. Below xi/2, h is also its own one symmetric
+    xi-adic digit, so the digit read would give the constant gcd 1 as well.
     Otherwise h's symmetric xi-adic digits give a polynomial whose primitive
     part is the gcd once `divide_exact` confirms that it divides a and b.
     After six failed confirmations, each at a larger xi, the
@@ -148,7 +173,7 @@ def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
         xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
         for _ in range(6):
             h = _int_gcd(eval_at(a, xi), eval_at(b, xi))
-            if h == 1:
+            if 2 * h < xi:
                 return (1,)
             digits = []
             while h:
@@ -201,6 +226,9 @@ def normalize_ratfun(num, den) -> tuple[Coeffs, Coeffs]:
         return (), (1,)
     if degree(num) > 0 and degree(den) > 0:
         g = gcd(num, den)
+        if not g[0]:  # x^m divides both: drop m low zeros as a slice
+            m = next(i for i, c in enumerate(g) if c)
+            num, den, g = num[m:], den[m:], g[m:]
         if degree(g) > 0:
             num, den = divide_exact(num, g), divide_exact(den, g)
     c = _int_gcd(*num, *den)

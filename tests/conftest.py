@@ -21,6 +21,20 @@ def pseudo_rem_calls(monkeypatch):
 
 
 @pytest.fixture
+def divide_exact_calls(monkeypatch):
+    """A list that gains, per `polyq.divide_exact` call, its divisor."""
+    calls = []
+    real = polyq.divide_exact
+
+    def counting(p, d):
+        calls.append(d)
+        return real(p, d)
+
+    monkeypatch.setattr(polyq, "divide_exact", counting)
+    return calls
+
+
+@pytest.fixture
 def ultra_calls(monkeypatch):
     """A Counter of `ufsim.replay` calls ("replay") and of the set operations
     that meet a set with the running meet ("meet": `indexset.intersect` and

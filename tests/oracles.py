@@ -67,6 +67,7 @@ def poly_derivative(coeffs):
 
 
 def poly_eval(coeffs, x):
+    """Horner's rule over Fractions, one coefficient at a time."""
     acc = Fraction(0)
     for c in reversed(tuple(coeffs)):
         acc = acc * x + c
@@ -508,3 +509,14 @@ def int_multiple(m: int, f):
         if not n:
             return Neg(total) if m < 0 else total
         power = Sum(power, power)
+
+
+def full_window_discrepancy(f, window: int) -> int:
+    """max |f(p+q) - f(p) - f(q)| over every ordered pair p, q in
+    [-window, window], each value read by `eval`: the double loop that
+    `ahom.verify_bound` halves by symmetry."""
+    return max(
+        abs(f.eval(p + q) - f.eval(p) - f.eval(q))
+        for p in range(-window, window + 1)
+        for q in range(-window, window + 1)
+    )

@@ -32,6 +32,7 @@ from eudoxus.reals import EudoxusReal, UndecidedSign, certified_equal
 
 from oracles import (
     bisect_isqrt,
+    full_window_discrepancy,
     int_multiple,
     invert_bound,
     least_reaching,
@@ -273,6 +274,16 @@ def test_verify_bound_examples():
     assert report.ok and report.max_abs_discrepancy == 1
     assert verify_bound(Sum(FloorLinear(1, 2), FloorLinear(1, 2)), 50).ok
     assert verify_bound(FloorSqrt(2), 100).ok
+
+
+def test_verify_bound_reads_each_unordered_pair_once_and_agrees():
+    rng = random.Random(537)
+    for _ in range(200):
+        f, window = _random_tree(rng, 3), rng.randint(1, 25)
+        report = verify_bound(f, window)
+        worst = full_window_discrepancy(f, window)
+        assert report.max_abs_discrepancy == worst, (format_rule(f), window)
+        assert report.ok == (worst <= f.bound)
 
 
 def test_bound_propagation_rules():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import chain
 from math import gcd
 
@@ -6,7 +7,7 @@ import pytest
 
 from eudoxus import polyq
 
-from oracles import fraction_gcd, fraction_long_division
+from oracles import fraction_gcd, fraction_long_division, poly_eval
 
 
 def _poly(rng: random.Random, degree: int) -> tuple:
@@ -130,6 +131,17 @@ def test_coprime_gcd_exits_without_pseudo_remainders(pseudo_rem_calls):
     shifted = polyq.sub(polyq.pow_(x_plus_1, 400), polyq.pow_(x, 400))
     assert polyq.gcd(shifted, polyq.pow_(x, 400)) == (1,)
     assert not pseudo_rem_calls
+
+
+@pytest.mark.parametrize("x", [0, 1, -1, -3, 7, 10**50, -(10**30), Fraction(-7, 3)], ids=str)
+def test_eval_at_matches_horner_at_every_length(x):
+    rng = random.Random(95)
+    for length in chain(range(0, 70), range(70, 301, 23), (300,)):
+        size = rng.choice([9, 10**6, 10**40])
+        p = tuple(rng.randint(-size, size) for _ in range(length))
+        value = polyq.eval_at(p, x)
+        assert value == poly_eval(p, x), (length, x)
+        assert type(value) is type(x) or not p
 
 
 def test_trim_keeps_a_trimmed_tuple():

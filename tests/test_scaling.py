@@ -6,6 +6,18 @@ the same request at n = 100, 200 and 400. Coprime normal forms are settled
 by one evaluation gcd, so the count stays flat; a gcd that runs the
 Euclidean loop on them takes a step per degree, and its count grows with n.
 
+The small-germ guard counts `polyq.divide_exact` calls (the
+`divide_exact_calls` fixture, conftest.py) while 2,000 seeded coprime pairs
+of the shape hyper.compare meets most, one to five coefficients in -9..9,
+are reduced. Each pair's value gcd h at GCDHEU's point xi lies in [2, xi/2),
+which the root bound alone proves coprime, so no candidate is read back and
+confirmed by division.
+
+The index-power guard answers `hyper eval "(1+dx)^n/(2+dx)^n"` at n = 250,
+500 and 1000, whose normal form divides out i^n: a pure power of the index
+is dropped as a slice of the coefficients, so no `divide_exact` call has
+such a divisor.
+
 The window guard counts leaf evaluations while `equals_within` checks the
 same pair at windows 1,000 and 16,000: a pair whose exact slope decides the
 check evaluates nothing at either size.
@@ -41,13 +53,15 @@ work linear in k; a square of two halves built apart has about k nodes, so
 its node count doubles with k where the guard allows two more nodes.
 """
 
+import random
 import time
 from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from eudoxus import ahom
+from eudoxus import ahom, polyq
 from eudoxus.ahom import FloorLinear, FloorSqrt, Sum
 from eudoxus.cli import _real_power, main
 from eudoxus.reals import from_rational, from_sqrt_int
@@ -66,6 +80,43 @@ def test_germ_power_gcd_work_is_flat_in_the_degree(argv, pseudo_rem_calls, capsy
         counts[n] = len(pseudo_rem_calls)
     capsys.readouterr()
     assert counts[400] <= 1.25 * counts[100] + 4, counts
+
+
+def _small_coprime_pairs(count):
+    """Pairs of primitive polynomials of degree 1 to 4, coefficients in
+    -9..9, whose value gcd at xi = 2*min(max norm) + 29 is in [2, xi/2)."""
+    rng = random.Random(35)
+    while count:
+        a, b = (
+            polyq.primitive(polyq.trim(rng.randint(-9, 9) for _ in range(rng.randint(2, 5))))
+            for _ in range(2)
+        )
+        if polyq.degree(a) < 1 or polyq.degree(b) < 1:
+            continue
+        xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+        h = gcd(*(sum(c * xi**k for k, c in enumerate(f)) for f in (a, b)))
+        if 2 <= h and 2 * h < xi:
+            count -= 1
+            yield a, b
+
+
+def test_small_germs_with_a_small_value_gcd_need_no_division(divide_exact_calls):
+    for a, b in _small_coprime_pairs(2000):
+        assert polyq.gcd(a, b) == (1,), (a, b)
+        num, den = polyq.normalize_ratfun(a, b)
+        assert polyq.mul(num, b) == polyq.mul(den, a), (a, b)
+    assert len(divide_exact_calls) == 0
+
+
+def test_a_common_index_power_is_sliced_off(divide_exact_calls, capsys):
+    def is_index_power(d):
+        return len(d) > 1 and not any(d[:-1])
+
+    for n in (250, 500, 1000):
+        del divide_exact_calls[:]
+        assert main(["hyper", "eval", f"(1+dx)^{n}/(2+dx)^{n}"]) == 0
+        capsys.readouterr()
+        assert [len(d) - 1 for d in divide_exact_calls if is_index_power(d)] == [], n
 
 
 @pytest.fixture
