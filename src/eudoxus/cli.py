@@ -258,15 +258,26 @@ def _load_state(path: str, budget: int):
     return "", ufsim.import_trace(text, budget=budget)
 
 
-def _save_state(path: str, text: str, state, budget: int) -> None:
-    """Replace the state file with `text`, then write its checkpoint: the text
-    and a line with `budget`, under which every step of `text` was checked,
-    and the meet of `state`. The checkpoint is a cache and a torn or stale
-    one only misses, so it is written in place, unsynced, with the state
-    file's permission bits."""
+def _read_state(path: str, budget: int):
+    """`_load_state` for a read. A replay writes the checkpoint, under the lock
+    and while the file still holds the replayed trace, but never the file."""
+    from . import ufsim
+
+    text, state = _load_state(path, budget)
+    if state.log:
+        with suppress(ConfigError), _locked(path := os.path.realpath(path)):
+            if _read_text(path, "state file") == (replayed := ufsim.export_trace(state)):
+                _save_checkpoint(path, replayed, state, budget)
+    return text, state
+
+
+def _save_checkpoint(path: str, text: str, state, budget: int) -> None:
+    """Write `<path>.meet`: `text`, then `budget`, under which every step of
+    `text` was checked, and the meet of `state`. A torn or stale checkpoint
+    only misses, so it is written in place, unsynced, with the state file's
+    permission bits. `query` and the reads that replay write it here."""
     from . import indexset
 
-    _replace_file(path, text)
     with suppress(OSError), open(path + ".meet", "w", encoding="utf-8") as fh:
         shutil.copymode(path, path + ".meet")
         fh.write(text)
@@ -324,7 +335,8 @@ def cmd_ultra_query(args, cfg: Config):
         verdict = ufsim.find_verdict(text, s)
         if verdict is None:
             verdict, state = ufsim.query(state, s, budget=cfg.budget)
-            _save_state(path, text + ufsim.export_trace(state), state, cfg.budget)
+            _replace_file(path, text := text + ufsim.export_trace(state))
+            _save_checkpoint(path, text, state, cfg.budget)
     result = {"verdict": verdict.value, "set": indexset.format_set(s)}
     return result, [verdict.value], 0
 
@@ -333,7 +345,7 @@ def cmd_ultra_contains(args, cfg: Config):
     from . import indexset, ufsim
 
     s = indexset.parse(args.setspec)
-    _, state = _load_state(cfg.state_path, cfg.budget)
+    _, state = _read_state(cfg.state_path, cfg.budget)
     answer = ufsim.contains(state, s, budget=cfg.budget)
     result = {"containment": answer.value, "set": indexset.format_set(s)}
     return result, [answer.value], 0
@@ -342,7 +354,7 @@ def cmd_ultra_contains(args, cfg: Config):
 def cmd_ultra_trace(args, cfg: Config):
     from . import ufsim
 
-    text, state = _load_state(cfg.state_path, cfg.budget)
+    text, state = _read_state(cfg.state_path, cfg.budget)
     lines = (text + ufsim.export_trace(state)).splitlines()
     return {"entries": lines}, lines, 0
 

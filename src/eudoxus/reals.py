@@ -135,15 +135,15 @@ class EudoxusReal(Record):
         return ZeroWithin(Fraction(c + abs(v), n))
 
     def equals_within(self, other: "EudoxusReal", window: int) -> bool:
-        """Window surrogate for class equality.
+        """Window surrogate for class equality, read at n = 0..window.
 
-        If the two elements are equal then |f(n) - g(n)| <= C_f + C_g for all
-        n >= 0 and <= 3(C_f + C_g) for n < 0 (negative arguments pick up the
-        f(0) and d_f(n, -n) terms), so a violation refutes equality while a
-        pass certifies agreement at every probed scale. Where the linear form
-        of h = f - g gives its exact slope r, r decides: |h(n) - r*n| <= tol =
-        C_f + C_g at every n (the slope lemma in `ahom.Compose`), so r = 0
-        passes, and |r|*window > 2*tol fails, with |h(window)| > tol.
+        If the two elements are equal then h = f - g has |h(n)| <= tol =
+        C_f + C_g for all n >= 0, so a violation refutes equality while a pass
+        certifies agreement at every probed scale; the negative half is then
+        implied, as h(-n) = h(0) - h(n) - d_h(n, -n) with each term at most tol.
+        Where the linear form of h gives its exact slope r, r decides:
+        |h(n) - r*n| <= tol at every n (the slope lemma in `ahom.Compose`), so
+        r = 0 passes, and |r|*window > 2*tol fails, with |h(window)| > tol.
         Otherwise h is evaluated once, as the form in which shared atoms cancel.
         """
         if window < 1:
@@ -153,9 +153,8 @@ class EudoxusReal(Record):
         slope = ahom.form_slope(ahom.linear_form(diff))
         if slope is not None and (not slope.exceeds(0) or slope.scaled(window).exceeds(2 * tol)):
             return not slope.exceeds(0)
-        vals = ahom.eval_range(diff, range(-window, window + 1))
-        pos, neg, far = vals[window:], vals[:window], 3 * tol
-        return -tol <= min(pos) and max(pos) <= tol and -far <= min(neg) and max(neg) <= far
+        vals = ahom.eval_range(diff, range(window + 1))
+        return -tol <= min(vals) and max(vals) <= tol
 
     def eval_index(self, digits: int) -> int:
         """The index n that `to_decimal(digits)` evaluates at.

@@ -28,7 +28,7 @@ from eudoxus.ahom import (
     parse_rule,
     verify_bound,
 )
-from eudoxus.reals import EudoxusReal, UndecidedSign, certified_equal
+from eudoxus.reals import EudoxusReal, UndecidedSign, certified_equal, from_rational, from_sqrt_int
 
 from oracles import (
     bisect_isqrt,
@@ -228,6 +228,66 @@ def test_equals_within_agrees_with_the_two_tree_window_check():
                 format_rule(f), format_rule(g), window
             )
             answers.append(want)
+    assert answers.count(True) >= 100 and answers.count(False) >= 100
+
+
+def _unlike_radical_real(rng, depth):
+    """A real over the unlike radicals sqrt(2), sqrt(3), sqrt(5), sqrt(7) and
+    small rationals: sums, products (a `Compose` where a factor's slope is
+    unknown) and reciprocals (`Invert`, or `Neg(Invert(Neg f))` where f is
+    negative)."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.7:
+            return from_sqrt_int(rng.choice((2, 3, 5, 7)))
+        return from_rational(rng.randint(-9, 9), rng.randint(1, 7))
+    x = _unlike_radical_real(rng, depth - 1)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return x.add(_unlike_radical_real(rng, depth - 1))
+    if kind == 1:
+        return x.mul(_unlike_radical_real(rng, depth - 1))
+    if kind == 2:
+        return x.neg()
+    try:
+        return x.recip(1 << 10)
+    except UndecidedSign:
+        return x
+
+
+def test_equals_within_agrees_with_the_two_tree_window_check_on_reciprocals():
+    # The oracle reads both halves of the window, n < 0 at 3(C_f + C_g), and
+    # equals_within reads n >= 0 alone: they agree wherever the certificates
+    # are sound.
+    rng = random.Random(1619)
+    one = from_rational(1, 1)
+    answers, shapes = [], set()
+    while len(answers) < 630:
+        x = _unlike_radical_real(rng, 3).add(from_sqrt_int(rng.choice((2, 3))))
+        y, z = _unlike_radical_real(rng, 2), _unlike_radical_real(rng, 2)
+        try:
+            r = x.recip(1 << 10)
+        except UndecidedSign:
+            continue
+        pairs = (
+            (r.mul(x), one),
+            (r.mul(x.add(one)), one),
+            (r.neg(), x.neg().recip(1 << 10)),
+            (r.mul(y), y.mul(r)),
+            (x.mul(y.add(z)), x.mul(y).add(x.mul(z))),
+            (r, r.add(from_rational(1, rng.choice((1, 40, 700))))),
+            (x.mul(y), _unlike_radical_real(rng, 3)),
+        )
+        for f, g in pairs:
+            for h in (f.rep, g.rep):
+                if isinstance(h, Neg) and isinstance(h.inner, Invert):
+                    shapes.add("Neg(Invert(Neg f))")
+                elif isinstance(h, (Invert, Compose)):
+                    shapes.add(type(h).__name__)
+            for window in (1, 64, 300):
+                want = window_equal(f.rep, g.rep, window)
+                assert f.equals_within(g, window) is want, (str(f.rep), str(g.rep), window)
+                answers.append(want)
+    assert shapes == {"Invert", "Neg(Invert(Neg f))", "Compose"}
     assert answers.count(True) >= 100 and answers.count(False) >= 100
 
 

@@ -1128,6 +1128,43 @@ def test_a_checkpoint_that_records_the_widest_period_still_serves(
     assert ultra_calls["replay"] == 3 * len(_CHECKPOINT_COMMANDS)
 
 
+@pytest.mark.parametrize("command", ["contains", "trace"])
+def test_a_read_that_replays_writes_the_checkpoint_while_the_file_holds_its_trace(
+    command, tmp_path, capsys, monkeypatch
+):
+    state, meet = _checkpointed_session(tmp_path, capsys)
+    text, saved = state.read_bytes(), meet.read_bytes()
+    argv = _CHECKPOINT_COMMANDS[command]
+    want = _full_replay_outcome(state, argv, capsys)
+    load_state = cli._load_state
+
+    def query_after_the_replay(path, budget):
+        # A query by another process lands between the replay and the lock.
+        loaded = load_state(path, budget)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("Accepted pre:1;per:0\n")
+        return loaded
+
+    def failing(*args):
+        raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+    # With no patch the read leaves the checkpoint the query wrote, and never
+    # the state file; a file that moved on or a lock that fails leaves none.
+    cases = [(None, None, saved), (cli, "_load_state", None), (fcntl, "flock", None)]
+    patches = {"_load_state": query_after_the_replay, "flock": failing}
+    for module, name, checkpoint in cases:
+        meet.unlink(missing_ok=True)
+        inode = state.stat().st_ino
+        with monkeypatch.context() as m:
+            if module:
+                m.setattr(module, name, patches[name])
+            assert run_cli(["ultra", *argv, "--state", str(state)], capsys) == want[0]
+        assert (meet.read_bytes() if meet.exists() else None) == checkpoint, name
+        assert state.stat().st_ino == inode
+        assert state.read_bytes() == text or name == "_load_state"
+        state.write_bytes(text)
+
+
 def test_the_checkpoint_keeps_the_state_file_mode(tmp_path, capsys):
     state, meet = _checkpointed_session(tmp_path, capsys)
     state.chmod(0o600)

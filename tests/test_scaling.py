@@ -18,9 +18,12 @@ The index-power guard answers `hyper eval "(1+dx)^n/(2+dx)^n"` at n = 250,
 is dropped as a slice of the coefficients, so no `divide_exact` call has
 such a divisor.
 
-The window guard counts leaf evaluations while `equals_within` checks the
+The window guards count leaf evaluations while `equals_within` checks the
 same pair at windows 1,000 and 16,000: a pair whose exact slope decides the
-check evaluates nothing at either size.
+check evaluates nothing at either size. A pair with no exact slope, the
+distributivity of sqrt(2) over -3/7 + sqrt(3), is read at n = 0..W for W =
+1,000, 2,000 and 4,000: exactly W + 1 points per leaf, since a sound
+certificate bounds the negative half already.
 
 The slope guard records the size of every `ahom.isqrt` argument while
 powers of sqrt(2) up to 2^524288 are built and summed: a rational slope is
@@ -44,7 +47,9 @@ The trace guard counts `ufsim.replay` calls and set meets (the
 `ultra_calls` fixture, conftest.py) per `ultra` request on traces of 4,000,
 8,000 and 16,000 entries: the first query has no checkpoint and replays the
 trace once, and every later request reads the checkpoint it wrote, so it
-replays nothing and meets the new set with the meet alone.
+replays nothing and meets the new set with the meet alone. With the
+checkpoint deleted, a `contains` replays the trace once and writes the
+checkpoint again, and the `trace` that follows replays nothing.
 
 The power guard builds (sqrt(7) - sqrt(2))^k by `cli._real_power` at k =
 128, 256 and 512, from a fresh base each time. Each squaring reuses one
@@ -62,7 +67,7 @@ from pathlib import Path
 import pytest
 
 from eudoxus import ahom, polyq
-from eudoxus.ahom import FloorLinear, FloorSqrt, Sum
+from eudoxus.ahom import Compose, FloorLinear, FloorSqrt, Neg, Sum
 from eudoxus.cli import _real_power, main
 from eudoxus.reals import from_rational, from_sqrt_int
 
@@ -163,6 +168,28 @@ def test_a_decided_window_check_does_not_grow_with_the_window(leaf_evaluations):
         assert work(f, g, 1000) == work(f, g, 16000), (str(f.rep), str(g.rep))
     # The count sees a window that is evaluated.
     assert work(*undecided, 16000) >= 15 * work(*undecided, 1000) > 0
+
+
+def _leaves(f):
+    """The leaves `eval_range` reads per argument of f: each leaf atom of its
+    linear form once, and a Compose atom through its outer and inner maps."""
+    forms = ahom.linear_form(f)
+    return sum(_leaves(g.outer) + _leaves(g.inner) if isinstance(g, Compose) else 1 for g in forms)
+
+
+def test_an_undecided_window_check_reads_the_nonnegative_half(leaf_evaluations):
+    _, (f, g) = _field_law_pairs()
+    leaves = _leaves(Sum(f.rep, Neg(g.rep)))
+    work = []
+    start = time.perf_counter()
+    for window in (1000, 2000, 4000):
+        del leaf_evaluations[:]
+        assert f.equals_within(g, window) is True
+        work.append(sum(leaf_evaluations))
+        assert work[-1] == (window + 1) * leaves, (window, work[-1], leaves)
+    assert time.perf_counter() - start < 0.5
+    for small, big in zip(work, work[1:]):
+        assert 0 < big <= 2.5 * small, work
 
 
 def test_a_slope_coefficient_is_never_squared_under_isqrt(monkeypatch):
@@ -273,6 +300,16 @@ def test_a_checkpointed_trace_is_not_replayed_at_any_length(tmp_path, capsys, ul
             # Only a new set replaces the state file.
             assert (state.stat().st_ino == inode) == (name != "new query"), (n, name)
         assert len(capsys.readouterr().out.splitlines()) == 4 + n + 2
+        # A read that misses the checkpoint replays once and writes it, and
+        # the next read replays nothing; neither writes the state file.
+        Path(f"{state}.meet").unlink()
+        inode = state.stat().st_ino
+        for replays, argv in ((1, requests["contains"]), (0, requests["trace"])):
+            ultra_calls.clear()
+            assert main(["ultra", *argv, "--state", str(state)]) == 0
+            assert ultra_calls["replay"] == replays, (n, argv)
+            assert state.stat().st_ino == inode and Path(f"{state}.meet").exists()
+        assert len(capsys.readouterr().out.splitlines()) == 1 + n + 2
 
 
 def test_a_power_shares_its_halves(monkeypatch):
