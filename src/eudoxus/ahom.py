@@ -15,8 +15,9 @@ depth. Equality, the rule text and `repr`, and the evaluation of a node over
 SHALLOW levels deep, run from explicit stacks, so depth is no limit. Bulk
 evaluation reads sums and negations as one linear form over atoms keyed by
 value (`linear_form`), expanding each distinct node once. Exact slopes are
-`Slope` values, combined only through its methods: `Sum` and linear forms
-(`form_slope`) join like radicals with `Slope.plus`. No floats.
+`Slope` values, combined only through its methods: a `Sum` joins like
+radicals with `Slope.plus`, and `form_terms` reads a linear form's slope as
+unlike radicals, multiplying out products. No floats.
 
 Concurrency: nodes are immutable after construction. The per-node memo table
 only caches values of a pure function, so concurrent use from several threads
@@ -30,7 +31,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
-from math import isqrt
+from math import gcd, isqrt
 
 from . import Record
 
@@ -469,13 +470,50 @@ def linear_form(f: AlmostHom) -> dict:
             parts = ((g.inner, -c),)
 
 
-def form_slope(form: dict):
-    """The slope of a `linear_form`, its terms c*slope(atom) summed through
-    `Slope.plus`: None where an atom's slope is unknown or unlike radicals meet."""
-    slope = Slope(Fraction(0), 1)
+TERMS = 16  # the most unlike terms `form_terms` carries
+
+
+def form_terms(form: dict, _known=None):
+    """The slope of a `linear_form` as pairwise unlike nonzero `Slope` terms.
+
+    An atom of known slope is one term, and a Compose atom at most SHALLOW
+    deep the products of its outer and inner maps' terms (a product's slope
+    is its factors'), sqrt(ka*kb) taken as d*sqrt(ka*kb/d^2) for d = gcd(ka,
+    kb). Like terms join through `Slope.plus`, and a zero term is dropped, so
+    by Besicovitch (1940), unlike square roots being linearly independent
+    over Q, the slope is zero exactly when the list is empty. Any other atom
+    or over TERMS terms give None. `_known` keeps terms by node id, so a
+    product DAG costs its nodes.
+    """
+    known = {} if _known is None else _known
+    terms = []
     for g, c in form.values():
-        slope = slope and g.slope and slope.plus(g.slope.scaled(c))
-    return slope
+        if g.slope is not None:
+            parts = (g.slope,)
+        elif type(g) is Compose and g.depth <= SHALLOW:
+            if id(g) not in known:
+                outer = form_terms(linear_form(g.outer), known)
+                inner = outer and form_terms(linear_form(g.inner), known)  # [] is zero
+                known[id(g)] = inner and [
+                    Slope(a.q * b.q * d, a.k // d * (b.k // d))
+                    for a in outer for b in inner for d in (gcd(a.k, b.k),)
+                ]
+            parts = known[id(g)]
+            if parts is None:
+                return None
+        else:
+            return None
+        for s in (p.scaled(c) for p in parts if p.q):
+            for i, t in enumerate(terms):
+                joined = t.plus(s)
+                if joined is not None:
+                    terms[i : i + 1] = [joined] if joined.q else []
+                    break
+            else:
+                if len(terms) == TERMS:
+                    return None
+                terms.append(s)
+    return terms
 
 
 def eval_range(f: AlmostHom, args) -> list[int]:

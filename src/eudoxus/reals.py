@@ -4,8 +4,9 @@ A real is an almost homomorphism considered modulo bounded maps; the slope
 lim f(n)/n is the number it denotes, and the certified bound C turns every
 finite computation into an interval statement: |f(n)/n - r| <= C/n for n >= 1.
 
-Equality of field elements is semidecidable only, so the API never pretends
-otherwise: a sign read takes a budget and may answer "zero within eps", and
+Equality is decided on the ring that rationals and roots generate under +,
+-, * and is semidecidable beyond it, and the API never pretends otherwise: a
+sign read takes a budget and may answer "zero within eps", and
 `equals_within` is the window surrogate used by the test suite.
 """
 
@@ -71,12 +72,18 @@ class EudoxusReal(Record):
     def mul(self, other: "EudoxusReal") -> "EudoxusReal":
         """Multiplication is composition of representatives. A factor that is
         the identity map leaves the other one as it is, and a product of two
-        known slopes is carried by the product slope's `Slope.rep`."""
+        known slopes is carried by the product slope's `Slope.rep`. Otherwise
+        a known slope goes outside, where `Compose.bound` reads it at +-C of
+        the other factor f; an f at most SHALLOW deep stays outside where
+        that bound is no larger."""
         f, g = self.rep, other.rep
         if f == _IDENTITY:
             return other
         if g == _IDENTITY:
             return self
+        if f.slope is None and g.slope is not None:
+            orders = (Compose(g, f),) if f.depth > ahom.SHALLOW else (Compose(f, g), Compose(g, f))
+            return EudoxusReal(min(orders, key=lambda h: h.bound))
         if f.slope is None or g.slope is None:
             return EudoxusReal(Compose(f, g))
         return EudoxusReal(f.slope.times(g.slope).rep())
@@ -141,18 +148,19 @@ class EudoxusReal(Record):
         C_f + C_g for all n >= 0, so a violation refutes equality while a pass
         certifies agreement at every probed scale; the negative half is then
         implied, as h(-n) = h(0) - h(n) - d_h(n, -n) with each term at most tol.
-        Where the linear form of h gives its exact slope r, r decides:
-        |h(n) - r*n| <= tol at every n (the slope lemma in `ahom.Compose`), so
-        r = 0 passes, and |r|*window > 2*tol fails, with |h(window)| > tol.
-        Otherwise h is evaluated once, as the form in which shared atoms cancel.
+        Where `ahom.form_terms` gives h's exact slope r in at most one term,
+        r decides: |h(n) - r*n| <= tol at every n (the slope lemma in
+        `ahom.Compose`), so r = 0 passes, and |r|*window > 2*tol fails, with
+        |h(window)| > tol. Otherwise h is evaluated once, as its form.
         """
         if window < 1:
             raise ValueError("window must be positive")
         diff = Sum(self.rep, Neg(other.rep))
         tol = diff.bound  # C_f + C_g
-        slope = ahom.form_slope(ahom.linear_form(diff))
-        if slope is not None and (not slope.exceeds(0) or slope.scaled(window).exceeds(2 * tol)):
-            return not slope.exceeds(0)
+        terms = ahom.form_terms(ahom.linear_form(diff))
+        if terms is not None and len(terms) < 2:
+            if not terms or terms[0].scaled(window).exceeds(2 * tol):
+                return not terms
         vals = ahom.eval_range(diff, range(window + 1))
         return -tol <= min(vals) and max(vals) <= tol
 
@@ -192,21 +200,22 @@ _IDENTITY = FloorLinear(1, 1)
 #
 # On the rule catalogue many elements have an exact slope q * sqrt(k), an
 # `ahom.Slope` that each node carries as `slope` where its structure decides
-# it. `Slope.same` on two of them gives a sound, certified equality decision;
-# a certified window violation gives a sound inequality decision; everything
-# else is honestly undecided (None).
+# it, and `ahom.form_terms` reads that of any +, -, * tree over roots as
+# unlike radicals: a sound, certified equality decision. A certified window
+# violation gives a sound inequality decision; all else is undecided (None).
 
 REFUTATION_WINDOW = 64  # the window certified_equal searches for a violation
 
 
 def certified_equal(x: EudoxusReal, y: EudoxusReal):
-    """Three-valued equality: True/False when certified, None when undecided."""
+    """Three-valued equality: True/False when certified, None when undecided;
+    x = y exactly when the terms of x - y are empty."""
     sx, sy = x.rep.slope, y.rep.slope
     if sx is not None and sy is not None:
         return sx.same(sy)
-    # Maps equal at every point are the same real.
-    if not ahom.linear_form(Sum(x.rep, Neg(y.rep))):
-        return True
+    terms = ahom.form_terms(ahom.linear_form(Sum(x.rep, Neg(y.rep))))
+    if terms is not None:
+        return not terms
     if not x.equals_within(y, REFUTATION_WINDOW):
         return False
     return None

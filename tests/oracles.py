@@ -295,25 +295,27 @@ def first_sort_error(tree, ctx):
     return result if isinstance(result, expr.SortError) else None
 
 
+def _squarefree(k: int) -> tuple[int, int]:
+    """(s, m) with k = s^2 * m and m squarefree, by trial division."""
+    s, m, d = 1, k, 2
+    while d * d <= m:
+        while m % (d * d) == 0:
+            m //= d * d
+            s *= d
+        d += 1
+    return s, m
+
+
 def squarefree_slope(f):
     """The exact slope of a rule tree as (q, m) meaning q*sqrt(m) with m
     squarefree (zero as (0, 1)), or None where no such form is derived; m is
     found by trial division, so keep radicands small."""
     from eudoxus import ahom
 
-    def squarefree(k):
-        s, m, d = 1, k, 2
-        while d * d <= m:
-            while m % (d * d) == 0:
-                m //= d * d
-                s *= d
-            d += 1
-        return s, m
-
     def normal(q, k):
         if q == 0:
             return Fraction(0), 1
-        s, m = squarefree(k)
+        s, m = _squarefree(k)
         return q * s, m
 
     kind = type(f)
@@ -341,6 +343,42 @@ def squarefree_slope(f):
             return None
         return normal(a[0] * b[0], a[1] * b[1])
     return None
+
+
+def squarefree_map(f):
+    """The exact slope of a +, -, * rule tree as {m: q}, the sum of q*sqrt(m)
+    over squarefree m with every q != 0; None where another node appears.
+    Radicands are factored by trial division, so keep them small; a product
+    multiplies out term by term, and like radicals meet as equal keys."""
+    from eudoxus import ahom
+
+    kind = type(f)
+    if kind is ahom.FloorLinear:
+        return {1: Fraction(f.p, f.q)} if f.p else {}
+    if kind is ahom.FloorSqrt:
+        s, m = _squarefree(f.k)
+        return {m: Fraction(s)} if f.k else {}
+    if kind is ahom.Neg:
+        inner = squarefree_map(f.inner)
+        return None if inner is None else {m: -q for m, q in inner.items()}
+    if kind not in (ahom.Sum, ahom.Compose):
+        return None
+    pair = (f.left, f.right) if kind is ahom.Sum else (f.outer, f.inner)
+    a, b = (squarefree_map(g) for g in pair)
+    if a is None or b is None:
+        return None
+    if kind is ahom.Sum:
+        items = [*a.items(), *b.items()]
+    else:
+        items = []
+        for ma, qa in a.items():
+            for mb, qb in b.items():
+                s, m = _squarefree(ma * mb)
+                items.append((m, qa * qb * s))
+    terms = {}
+    for m, q in items:
+        terms[m] = terms.get(m, 0) + q
+    return {m: q for m, q in terms.items() if q}
 
 
 # -- rule-node facts, recomputed by walking down the tree ----------------------

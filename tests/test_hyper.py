@@ -308,8 +308,10 @@ def test_eq_mod_filter_certified_unequal_after_commitment():
 
 
 def test_eq_mod_filter_empirical_when_not_certifiable():
-    blurry = from_sqrt_int(2).add(from_sqrt_int(3))
-    close = from_rational(3146264369941973, 10**15)
+    # A reciprocal of unlike radicals has no exact slope, and it meets a
+    # rational within 10^-16 of it, which no 64-point window refutes.
+    blurry = from_sqrt_int(2).add(from_sqrt_int(3)).recip(1 << 20)
+    close = from_rational(317837245195782, 10**15)
     x = constant_rescaling(blurry)
     y = constant_rescaling(close)
     verdict, _ = eq_mod_filter(x, y, ufsim.fresh_state())
@@ -343,8 +345,10 @@ _REPRESENTATIONS = {
     "2": (from_rational(2, 1), from_sqrt_int(4)),
     "sqrt2": (from_sqrt_int(2),),
     "3/2": (from_rational(3, 2),),
-    "blur": (from_sqrt_int(2).add(from_sqrt_int(3)),),
-    "near": (from_rational(3146264369941973, 10**15),),
+    # 1/(sqrt(2) + sqrt(3)) has no exact slope, and no 64-point window
+    # refutes it against a rational within 10^-16 of it.
+    "blur": (from_sqrt_int(2).add(from_sqrt_int(3)).recip(1 << 20),),
+    "near": (from_rational(317837245195782, 10**15),),
 }
 
 

@@ -143,8 +143,10 @@ def test_closure_check_rejects_inadmissible_input():
 
 
 def test_undecidable_reported_not_guessed():
-    blurry = from_sqrt_int(2).add(from_sqrt_int(3))
-    near = from_rational(3146264369941973, 10**15)
+    # A reciprocal of unlike radicals has no exact slope, and it meets a
+    # rational within 10^-16 of it, which no 64-point window refutes.
+    blurry = from_sqrt_int(2).add(from_sqrt_int(3)).recip(1 << 20)
+    near = from_rational(317837245195782, 10**15)
     tangled = piecewise(
         (
             (indexset.evens(), blurry),

@@ -20,10 +20,20 @@ such a divisor.
 
 The window guards count leaf evaluations while `equals_within` checks the
 same pair at windows 1,000 and 16,000: a pair whose exact slope decides the
-check evaluates nothing at either size. A pair with no exact slope, the
-distributivity of sqrt(2) over -3/7 + sqrt(3), is read at n = 0..W for W =
+check, the distributivity of sqrt(2) over -3/7 + sqrt(3) among them,
+evaluates nothing at either size. A pair with no exact slope, a reciprocal
+of -3/7 + sqrt(3) against its conjugate form, is read at n = 0..W for W =
 1,000, 2,000 and 4,000: exactly W + 1 points per leaf, since a sound
 certificate bounds the negative half already.
+
+The product-chain guards build y = y*sqrt(3) + 1/7 from sqrt(2) + sqrt(3),
+whose slope no node carries. Building it at n = 200, 400 and 800 steps
+makes `eval` calls linear in n, since the known factor goes outside and its
+bound reads sqrt(3) at +-C of the chain. The slope reader's `linear_form`
+calls are the same at 100, 200 and 400 steps, as it stops at a Compose over
+SHALLOW deep, and grow by a few per doubling of k on (sqrt(7) - sqrt(2))^k,
+a DAG of shared halves whose nodes it reads once each. At 10,000 steps the
+checks answer from a stack of bounded depth.
 
 The slope guard records the size of every `ahom.isqrt` argument while
 powers of sqrt(2) up to 2^524288 are built and summed: a rational slope is
@@ -69,7 +79,7 @@ import pytest
 from eudoxus import ahom, polyq
 from eudoxus.ahom import Compose, FloorLinear, FloorSqrt, Neg, Sum
 from eudoxus.cli import _real_power, main
-from eudoxus.reals import from_rational, from_sqrt_int
+from eudoxus.reals import certified_equal, from_rational, from_sqrt_int
 
 
 @pytest.mark.parametrize(
@@ -145,16 +155,19 @@ def leaf_evaluations(monkeypatch):
 
 
 def _field_law_pairs():
-    """Pairs whose difference has a known slope: zero where the law holds,
-    1 for the shift; and one pair of unlike radicals, whose slope is None."""
+    """Pairs whose difference has an exact slope, read from the terms of
+    its linear form: zero where the law holds, also across unlike radicals,
+    and 1 for the shift; and one pair whose slope no form reads, the
+    reciprocal 1/(-3/7 + sqrt(3)) against (49/138)*(sqrt(3) + 3/7)."""
     x, y, z, w = from_sqrt_int(2), from_rational(-3, 7), from_sqrt_int(8), from_sqrt_int(3)
     decided = [
         (x.add(y).add(z), x.add(y.add(z))),
         (x.mul(z), z.mul(x)),
         (z.mul(x.add(z)), z.mul(x).add(z.mul(z))),
+        (x.mul(y.add(w)), x.mul(y).add(x.mul(w))),
         (x.add(y), x.add(y).add(from_rational(1, 1))),
     ]
-    return decided, (x.mul(y.add(w)), x.mul(y).add(x.mul(w)))
+    return decided, (y.add(w).recip(1 << 20), w.sub(y).mul(from_rational(49, 138)))
 
 
 def test_a_decided_window_check_does_not_grow_with_the_window(leaf_evaluations):
@@ -172,14 +185,21 @@ def test_a_decided_window_check_does_not_grow_with_the_window(leaf_evaluations):
 
 def _leaves(f):
     """The leaves `eval_range` reads per argument of f: each leaf atom of its
-    linear form once, and a Compose atom through its outer and inner maps."""
+    linear form once, and a Compose atom through its outer and inner maps.
+    Any other atom is read through its memo, which the caller fills."""
     forms = ahom.linear_form(f)
-    return sum(_leaves(g.outer) + _leaves(g.inner) if isinstance(g, Compose) else 1 for g in forms)
+    return sum(
+        _leaves(g.outer) + _leaves(g.inner) if isinstance(g, Compose) else type(g) in (FloorLinear, FloorSqrt)
+        for g in forms
+    )
 
 
 def test_an_undecided_window_check_reads_the_nonnegative_half(leaf_evaluations):
     _, (f, g) = _field_law_pairs()
     leaves = _leaves(Sum(f.rep, Neg(g.rep)))
+    # The reciprocal's search is not what is counted: its values at n >= 0
+    # are memoized first, so a read of n < 0 would show as leaf evaluations.
+    [f.rep.eval(n) for n in range(4001)]
     work = []
     start = time.perf_counter()
     for window in (1000, 2000, 4000):
@@ -190,6 +210,86 @@ def test_an_undecided_window_check_reads_the_nonnegative_half(leaf_evaluations):
     assert time.perf_counter() - start < 0.5
     for small, big in zip(work, work[1:]):
         assert 0 < big <= 2.5 * small, work
+
+
+def _product_chain(n, factor=from_sqrt_int(3)):
+    """y = y*factor + 1/7, n times from sqrt(2) + sqrt(3). A factor below 1,
+    sqrt(3)/2, keeps every bound near 50, so a shift by 1/7 is refuted in a
+    window of 1,000; sqrt(3) multiplies the bounds at each step."""
+    y = from_sqrt_int(2).add(from_sqrt_int(3))
+    for _ in range(n):
+        y = y.mul(factor).add(from_rational(1, 7))
+    return y
+
+
+_SHRINKING = from_sqrt_int(3).mul(from_rational(1, 2))
+
+
+def test_a_product_chain_builds_in_linear_work(monkeypatch):
+    evals = []
+    eval_ = ahom.AlmostHom.eval
+    monkeypatch.setattr(ahom.AlmostHom, "eval", lambda self, a: evals.append(1) or eval_(self, a))
+    work = []
+    start = time.perf_counter()
+    for n in (200, 400, 800):
+        del evals[:]
+        _product_chain(n)
+        work.append(len(evals))
+    assert time.perf_counter() - start < 0.5
+    for small, big in zip(work, work[1:]):  # 716, 1,116 and 1,916 today
+        assert 0 < big <= 2.5 * small, work
+
+
+def _exact_power(k):
+    """(sqrt(7) - sqrt(2))^k for even k as a + b*sqrt(14), from (9 - 2*sqrt(14))^(k/2)."""
+    a, b = 1, 0
+    for _ in range(k // 2):
+        a, b = 9 * a - 28 * b, 9 * b - 2 * a
+    return from_rational(a, 1).add(from_sqrt_int(14).mul(from_rational(b, 1)))
+
+
+def test_the_slope_reader_reads_each_product_node_once(monkeypatch):
+    calls = []
+    linear_form = ahom.linear_form
+    monkeypatch.setattr(ahom, "linear_form", lambda f: calls.append(1) or linear_form(f))
+
+    def reads(check, *args):
+        del calls[:]
+        verdict = check(*args)
+        return verdict, len(calls)
+
+    chain = []
+    for n in (100, 200, 400):
+        y, twin = _product_chain(n, _SHRINKING), _product_chain(n, _SHRINKING)
+        shifted, times_one = twin.add(from_rational(1, 7)), y.mul(from_sqrt_int(1))
+        chain.append(
+            [reads(certified_equal, y, other) for other in (twin, shifted, times_one)]
+            + [reads(y.equals_within, other, 1000) for other in (twin, shifted)]
+        )
+    assert chain[0] == chain[1] == chain[2], chain
+    assert [verdict for verdict, _ in chain[0]] == [True, False, None, True, False]
+    power = []
+    for k in (128, 256, 512):
+        x, exact = _real_power(from_sqrt_int(7) - from_sqrt_int(2), k), _exact_power(k)
+        power.append(
+            [reads(certified_equal, x, exact), reads(certified_equal, x, exact.add(from_rational(1, 1)))]
+        )
+        assert [verdict for verdict, _ in power[-1]] == [True, False], k
+    for small, big in zip(power, power[1:]):  # 15, 17 and 19 calls today
+        assert all(b <= s + 4 for (_, s), (_, b) in zip(small, big)), power
+
+
+def test_a_10000_step_product_chain_answers_from_a_bounded_stack():
+    y, twin = _product_chain(10_000, _SHRINKING), _product_chain(10_000, _SHRINKING)
+    assert y.rep.depth == 20_001
+    assert certified_equal(y, twin) is True and y.equals_within(twin, 1000) is True
+    shifted = twin.add(from_rational(1, 7))
+    assert certified_equal(y, shifted) is False and y.equals_within(shifted, 1000) is False
+    # A deep Compose that no term cancels stops the slope reader, and the
+    # window is evaluated from a stack.
+    other = y.mul(from_sqrt_int(1))
+    assert ahom.form_terms(ahom.linear_form(Sum(y.rep, Neg(other.rep)))) is None
+    assert y.equals_within(other, 2) is True
 
 
 def test_a_slope_coefficient_is_never_squared_under_isqrt(monkeypatch):
