@@ -5,13 +5,14 @@ tuple. All arithmetic is exact (ints, with Fractions only in transient
 values). `RatFun` is the shared quotient behind index-dependent slopes
 (`hyper.RationalSlopeGerm`) and the calculus layer (`calculus.RatFunction`);
 it prints itself in its view's variable, i for germs and x otherwise.
-`gcd` is GCDHEU: if the integer gcd of both inputs' values at xi =
-2*min(max norm) + 29 is below xi/2, the root bound proves them coprime;
-otherwise it is read back in xi-adic digits and confirmed by `divide_exact`,
-with the pseudo-remainder loop as the fallback. `normalize_ratfun` drops a
-gcd's power of the variable as a slice of both sides, and `eval_at` splits a
-long polynomial into halves, so high-degree normal forms need neither a long
-division by x^m nor Horner's rule at a large xi.
+`gcd` is GCDHEU: if the integer gcd of the trimmed inputs' values at xi =
+2*min(max norm) + 29 is below xi/2, the root bound proves them coprime and no
+content is divided out; otherwise the primitive parts' value gcd is read back
+in xi-adic digits and confirmed by `divide_exact`, with the pseudo-remainder
+loop as the fallback. `normalize_ratfun` scans the coefficients once, for the
+joint content, and drops a gcd's power of the variable as a slice of both
+sides; `eval_at` evaluates a long polynomial by halves. So high-degree normal
+forms need neither a long division by x^m nor Horner's rule at a large xi.
 `int_text`, `fraction_text` and `decimal_of_fraction` print integers and
 fractions at any length, also past Python's 4,300-digit limit on int-to-str
 conversion.
@@ -120,12 +121,8 @@ def eval_at(p: Coeffs, x):
         power *= power
 
 
-def content(p: Coeffs) -> int:
-    return _int_gcd(*p)
-
-
 def primitive(p: Coeffs) -> Coeffs:
-    c = content(p)
+    c = _int_gcd(*p)
     if c in (0, 1):
         return p
     return tuple(a // c for a in p)
@@ -153,19 +150,22 @@ def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
     """Primitive polynomial gcd with positive leading coefficient.
 
     GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 7, 1989): h is the integer
-    gcd of the primitive inputs' values at xi = 2*m + 29, where m =
+    gcd of the trimmed inputs' values at xi = 2*m + 29, where m =
     min(|a|, |b|) (max norms). A common factor C of positive degree has only
     roots of modulus at most 1 + m (Cauchy's bound for the smaller input), so
     |C(xi)| >= xi - 1 - m = m + 28 > xi/2, and C(xi) divides h: h < xi/2
-    proves a and b coprime. Below xi/2, h is also its own one symmetric
-    xi-adic digit, so the digit read would give the constant gcd 1 as well.
-    Otherwise h's symmetric xi-adic digits give a polynomial whose primitive
-    part is the gcd once `divide_exact` confirms that it divides a and b.
-    After six failed confirmations, each at a larger xi, the
-    pseudo-remainder loop decides. A power x^m dividing both inputs, which
-    would multiply each value by xi^m, is taken out first.
+    proves a and b coprime, whatever their contents. A content only
+    multiplies h, so it can make this exit miss but never fire wrongly; only
+    a miss takes primitive parts, and starts again from them if a content
+    was there. Below xi/2, h is also its own one symmetric xi-adic digit, so
+    the digit read would give the constant gcd 1 as well. Otherwise h's
+    symmetric xi-adic digits give a polynomial whose primitive part is the
+    gcd once `divide_exact` confirms that it divides a and b. After six
+    failed confirmations, each at a larger xi, the pseudo-remainder loop
+    decides. A power x^m dividing both inputs, which would multiply each
+    value by xi^m, is taken out first.
     """
-    a, b = primitive(trim(p)), primitive(trim(q))
+    a, b = trim(p), trim(q)
     if a and b and not a[0] and not b[0]:
         m = min(next(i for i, c in enumerate(f) if c) for f in (a, b))
         return (0,) * m + gcd(a[m:], b[m:])
@@ -175,6 +175,9 @@ def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
             h = _int_gcd(eval_at(a, xi), eval_at(b, xi))
             if 2 * h < xi:
                 return (1,)
+            pa, pb = primitive(a), primitive(b)
+            if pa is not a or pb is not b:  # a content made the exit miss
+                return gcd(pa, pb)
             digits = []
             while h:
                 digits.append((h + xi // 2) % xi - xi // 2)
@@ -186,6 +189,7 @@ def gcd(p: Coeffs, q: Coeffs) -> Coeffs:
                 return g
             except ArithmeticError:
                 xi = xi * 73794 // 27011  # GCDHEU's growth factor, about 2.732
+    a, b = primitive(a), primitive(b)
     while b:
         a, b = b, primitive(pseudo_rem(a, b))
     if leading(a) < 0:
@@ -217,26 +221,30 @@ def normalize_ratfun(num, den) -> tuple[Coeffs, Coeffs]:
     The result has coprime numerator and denominator, joint coefficient
     content 1, and a positive leading denominator coefficient; the zero
     function is ((), (1,)). This makes equal rational functions structurally
-    identical.
+    identical. The content and the sign go first, since a primitive gcd leaves
+    both (Gauss's lemma); that scan is the integer check, and Fraction or
+    float coefficients fail it and are cleared.
     """
     num, den = trim(num), trim(den)
     if not den:
         raise ZeroDivisionError("zero denominator polynomial")
     if not num:
         return (), (1,)
-    if degree(num) > 0 and degree(den) > 0:
+    try:
+        c = _int_gcd(*num, *den)
+    except TypeError:  # a Fraction or float coefficient: clear denominators
+        (num, mn), (den, md) = map(from_fraction_coeffs, (num, den))
+        return normalize_ratfun(scale(num, md), scale(den, mn))
+    c = -c if den[-1] < 0 else c  # one pass divides out the content and the sign
+    if c != 1:
+        num, den = tuple([a // c for a in num]), tuple([a // c for a in den])
+    if len(num) > 1 and len(den) > 1:
         g = gcd(num, den)
         if not g[0]:  # x^m divides both: drop m low zeros as a slice
             m = next(i for i, c in enumerate(g) if c)
             num, den, g = num[m:], den[m:], g[m:]
         if degree(g) > 0:
             num, den = divide_exact(num, g), divide_exact(den, g)
-    c = _int_gcd(*num, *den)
-    if c > 1:
-        num = tuple(a // c for a in num)
-        den = tuple(a // c for a in den)
-    if leading(den) < 0:
-        num, den = neg(num), neg(den)
     return num, den
 
 
@@ -247,8 +255,8 @@ class DivisionByZeroGerm(ZeroDivisionError):
 class RatFun(Record):
     """Quotient num/den of integer polynomials, stored in reduced normal form.
 
-    Rational coefficients are cleared at construction; integer input, such as
-    every result of arithmetic, goes straight to normalize_ratfun. Subclasses
+    Fraction and float coefficients are cleared at construction, by
+    normalize_ratfun, which every input goes through once. Subclasses
     are views, and a view is data: the `noun` that names the quotient in
     messages, the `var` it prints in, and the error `pole(x)` returns for a
     pole. `str` prints num/den in the view's variable, bracketing a side only
@@ -262,11 +270,7 @@ class RatFun(Record):
     var = "x"
 
     def __init__(self, num: Coeffs, den: Coeffs):
-        if any(type(c) is not int for p in (num, den) for c in p):
-            num, mn = from_fraction_coeffs(num)
-            den, md = from_fraction_coeffs(den)
-            num, den = scale(num, md), scale(den, mn)
-        super().__init__(*normalize_ratfun(num, den))
+        Record.__init__(self, *normalize_ratfun(num, den))
 
     @classmethod
     def constant(cls, q):

@@ -21,6 +21,20 @@ def pseudo_rem_calls(monkeypatch):
 
 
 @pytest.fixture
+def primitive_calls(monkeypatch):
+    """A list that gains, per `polyq.primitive` call, its argument."""
+    calls = []
+    real = polyq.primitive
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(polyq, "primitive", counting)
+    return calls
+
+
+@pytest.fixture
 def divide_exact_calls(monkeypatch):
     """A list that gains, per `polyq.divide_exact` call, its divisor."""
     calls = []

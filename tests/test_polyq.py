@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from eudoxus import polyq
+from eudoxus.calculus import RatFunction
+from eudoxus.hyper import RationalSlopeGerm
 
 from oracles import fraction_gcd, fraction_long_division, poly_eval
 
@@ -58,7 +60,9 @@ def _wide_poly(rng: random.Random, degree: int, size: int) -> tuple:
 
 
 def _gcd_cases(rng: random.Random):
-    """Pairs with a planted common factor, coprime pairs, constants and zero."""
+    """Pairs with a planted common factor, coprime pairs, an integer content
+    shared by both sides (as 6a over 4b), x^m on one side only, constants and
+    zero."""
     for case in range(2400):
         size = rng.choice([9, 1000, 10**6])
         a = _wide_poly(rng, rng.randint(0, 6), size)
@@ -66,6 +70,12 @@ def _gcd_cases(rng: random.Random):
         if case % 3:
             common = _wide_poly(rng, rng.randint(1, 4), rng.choice([3, size]))
             a, b = polyq.mul(common, a), polyq.mul(common, b)
+        if case % 5 == 1:
+            k = rng.choice([2, 6, 12, 30, 97])
+            a, b = polyq.scale(a, k * rng.randint(1, 5)), polyq.scale(b, k * rng.randint(1, 5))
+        elif case % 5 == 2:
+            x_m = (0,) * rng.randint(1, 8) + (1,)
+            a, b = (polyq.mul(x_m, a), b) if case % 2 else (a, polyq.mul(x_m, b))
         if case % 50 == 0:
             a = ()
         elif case % 50 == 1:
@@ -101,6 +111,30 @@ def test_gcd_and_normal_form_match_the_euclid_oracle():
         assert polyq.gcd(a, b) == fraction_gcd(a, b)
         if b:
             assert polyq.normalize_ratfun(a, b) == _expected_normal_form(a, b)
+
+
+def _cleared(coeffs, m):
+    """Fraction or float coefficients times m, as ints (m clears them all)."""
+    scaled = [Fraction(c) * m for c in coeffs]
+    assert all(c.denominator == 1 for c in scaled)
+    return tuple(int(c) for c in scaled)
+
+
+@pytest.mark.parametrize("view", [RationalSlopeGerm, RatFunction], ids=lambda v: v.__name__)
+def test_views_built_from_fractions_and_floats_store_the_cleared_normal_form(view):
+    rng = random.Random(96)
+    for case in range(400):
+        a = _wide_poly(rng, rng.randint(0, 4), 9)
+        b = _wide_poly(rng, rng.randint(0, 4), 9)
+        if case % 2:
+            common = _wide_poly(rng, rng.randint(1, 2), 3)
+            a, b = polyq.mul(common, a), polyq.mul(common, b)
+        num = [Fraction(c, rng.randint(1, 12)) for c in a]
+        den = [c / rng.choice([1, 2, 4, 8]) if case % 3 else Fraction(c, 6) for c in b]
+        m = lcm(*(Fraction(c).denominator for c in num + den))
+        f = view(tuple(num), tuple(den))
+        assert (f.num, f.den) == _expected_normal_form(_cleared(num, m), _cleared(den, m))
+        assert all(type(c) is int for c in f.num + f.den), (num, den)
 
 
 def test_gcd_examples():

@@ -11,7 +11,11 @@ The small-germ guard counts `polyq.divide_exact` calls (the
 of the shape hyper.compare meets most, one to five coefficients in -9..9,
 are reduced. Each pair's value gcd h at GCDHEU's point xi lies in [2, xi/2),
 which the root bound alone proves coprime, so no candidate is read back and
-confirmed by division.
+confirmed by division. Its sibling counts `polyq.primitive` calls too (the
+`primitive_calls` fixture): 1,000 seeded pairs of that shape that are coprime
+over the integers, with a value gcd below xi/2, are normalized with no
+primitive part taken and no division, since the exit runs on the trimmed
+inputs before their contents are divided out.
 
 The index-power guard answers `hyper eval "(1+dx)^n/(2+dx)^n"` at n = 250,
 500 and 1000, whose normal form divides out i^n: a pure power of the index
@@ -81,6 +85,8 @@ from eudoxus.ahom import Compose, FloorLinear, FloorSqrt, Neg, Sum
 from eudoxus.cli import _real_power, main
 from eudoxus.reals import certified_equal, from_rational, from_sqrt_int
 
+from oracles import fraction_gcd
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -121,6 +127,35 @@ def test_small_germs_with_a_small_value_gcd_need_no_division(divide_exact_calls)
         num, den = polyq.normalize_ratfun(a, b)
         assert polyq.mul(num, b) == polyq.mul(den, a), (a, b)
     assert len(divide_exact_calls) == 0
+
+
+def _order_pair_coprimes(count):
+    """Pairs of the shape hyper.compare meets most, one to five coefficients
+    in -9..9 per side with constant terms not both zero, that are coprime
+    over the integers and whose value gcd at xi = 2*min(max norm) + 29 is
+    below xi/2; returned with the number of coprime pairs drawn."""
+    rng = random.Random(39)
+    pairs, drawn = [], 0
+    while len(pairs) < count:
+        a, b = (polyq.trim(rng.randint(-9, 9) for _ in range(rng.randint(1, 5))) for _ in range(2))
+        if len(a) < 2 or len(b) < 2 or not (a[0] or b[0]) or gcd(*a, *b) > 1:
+            continue
+        if fraction_gcd(a, b) != (1,):
+            continue
+        drawn += 1
+        xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+        if 2 * gcd(*(sum(c * xi**k for k, c in enumerate(f)) for f in (a, b))) < xi:
+            pairs.append((a, b))
+    return pairs, drawn
+
+
+def test_coprime_order_pairs_normalize_without_primitive_parts(primitive_calls, divide_exact_calls):
+    pairs, drawn = _order_pair_coprimes(1000)
+    assert len(pairs) > 0.95 * drawn  # the exit settles nearly every coprime pair
+    for a, b in pairs:
+        want = (a, b) if b[-1] > 0 else (polyq.neg(a), polyq.neg(b))
+        assert polyq.normalize_ratfun(a, b) == want, (a, b)
+    assert primitive_calls == [] and divide_exact_calls == []
 
 
 def test_a_common_index_power_is_sliced_off(divide_exact_calls, capsys):
